@@ -1,6 +1,7 @@
 //! The experiments harness: regenerates every table of EXPERIMENTS.md
 //! (the paper's figures F1–F4 as correctness checks, plus the measurement
-//! experiments E1–E16 its architectural claims imply).
+//! experiments E1–E16 its architectural claims imply; E11 is retired and
+//! no longer runs).
 //!
 //! Run with: `cargo run --release -p tcdm-bench --bin experiments`
 //!
@@ -127,7 +128,6 @@ fn main() {
     e8_postprocess(&mut report, mode);
     e9_pool_parameters(&mut report, mode);
     e10_worker_scaling(&mut report, mode);
-    e11_representation_shootout(&mut report, mode);
     e12_borderline_shootout(&mut report, mode);
     e13_preprocess_cache(&mut report, mode);
     e14_fused_preprocess(&mut report, mode);
@@ -1083,107 +1083,6 @@ fn e10_worker_scaling(report: &mut Report, mode: Mode) {
         );
     }
     println!("\n(identical rule sets asserted per worker count)\n");
-}
-
-/// E11 — gid-set representation shootout: list-only vs hybrid (`auto`)
-/// on a dense quest workload (bitsets should win) and a sparse
-/// retail-shaped workload (`auto` must stay on lists and hold parity).
-fn e11_representation_shootout(report: &mut Report, mode: Mode) {
-    use minerule::algo::apriori::AprioriGidList;
-    use minerule::algo::eclat::Eclat;
-    use minerule::algo::{sort_itemsets, GidSetRepr, ItemsetMiner, ShardExec};
-
-    println!("## E11 — gid-set representation shootout (list vs hybrid)\n");
-
-    // Dense: small catalog, long baskets — most gid-lists exceed
-    // universe/32 elements, so `auto` picks the bitset words.
-    let baskets = mode.size(400, 2000);
-    let dense = datagen::generate_quest(&datagen::QuestConfig {
-        transactions: baskets,
-        avg_transaction_size: 12.0,
-        avg_pattern_size: 4.0,
-        patterns: 10,
-        items: 50,
-        seed: 211,
-        ..datagen::QuestConfig::default()
-    });
-    let total = dense.transactions.len() as u32;
-    let dense_input = SimpleInput {
-        groups: dense.transactions,
-        total_groups: total,
-        min_groups: ((total as f64 * 0.05).ceil() as u32).max(1),
-    };
-
-    // Sparse: the retail generator with a wide catalog and short baskets
-    // keeps every gid-list far below the density threshold — `auto` must
-    // stay on sorted lists.
-    let retail = datagen::generate_retail(&datagen::RetailConfig {
-        customers: mode.size(150, 800),
-        items_per_date: 4.0,
-        catalog: 1000,
-        expensive_items: 100,
-        seed: 223,
-        ..datagen::RetailConfig::default()
-    });
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut last_tr = 0i64;
-    for row in &retail.rows {
-        if row.tr != last_tr {
-            groups.push(Vec::new());
-            last_tr = row.tr;
-        }
-        let k: u32 = row.item["item".len()..].parse().expect("item id");
-        groups.last_mut().expect("open group").push(k);
-    }
-    let total = groups.len() as u32;
-    let sparse_input = SimpleInput {
-        groups,
-        total_groups: total,
-        min_groups: ((total as f64 * 0.005).ceil() as u32).max(2),
-    };
-
-    println!(
-        "(quest-dense: {} baskets over 50 items; retail-sparse: {} baskets over 1000 items)\n",
-        dense_input.groups.len(),
-        sparse_input.groups.len()
-    );
-    println!("| workload | algorithm | list (ms) | hybrid (ms) | itemsets |");
-    println!("|---|---|---|---|---|");
-    for (workload, input) in [
-        ("quest-dense", &dense_input),
-        ("retail-sparse", &sparse_input),
-    ] {
-        let miners: [(&str, &dyn ItemsetMiner); 2] =
-            [("apriori-gidlist", &AprioriGidList), ("eclat", &Eclat)];
-        for (alg, miner) in miners {
-            let mut cells = Vec::new();
-            let mut outputs = Vec::new();
-            for (repr_name, repr) in [("list", GidSetRepr::List), ("hybrid", GidSetRepr::Auto)] {
-                let exec = ShardExec::sequential().with_gidset_repr(repr);
-                let (d, mut large) = best_of(mode.reps(3), || miner.mine_sharded(input, &exec));
-                sort_itemsets(&mut large);
-                report.case(
-                    "E11",
-                    format!("{workload} {alg} repr={repr_name}"),
-                    Some(large.len() as u64),
-                    d,
-                );
-                cells.push(ms(d));
-                outputs.push(large);
-            }
-            assert_eq!(
-                outputs[0], outputs[1],
-                "representations disagree on {workload}/{alg}"
-            );
-            println!(
-                "| {workload} | {alg} | {} | {} | {} |",
-                cells[0],
-                cells[1],
-                outputs[0].len()
-            );
-        }
-    }
-    println!("\n(identical itemsets asserted per representation pair)\n");
 }
 
 /// E12 — borderline shootout: compiled vs interpreted expression

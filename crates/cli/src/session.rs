@@ -35,13 +35,8 @@ pub const KNOBS: &[Knob] = &[
         blurb: "toggle metric recording (rules identical either way)",
     },
     Knob {
-        name: "gidset",
-        domain: "list|bitset|auto",
-        blurb: "pin the gid-set representation",
-    },
-    Knob {
         name: "sqlexec",
-        domain: "compiled|interpreted|auto",
+        domain: "compiled|interpreted",
         blurb: "pin SQL expression execution",
     },
     Knob {
@@ -182,7 +177,6 @@ impl Session {
         match name {
             "workers" => self.engine.core.workers.to_string(),
             "telemetry" => on_off(self.engine.telemetry_enabled()).to_string(),
-            "gidset" => self.engine.core.gidset.to_string(),
             "sqlexec" => self.engine.sqlexec.to_string(),
             "exec" => self.engine.exec.to_string(),
             "preprocache" => on_off(self.engine.preprocache_enabled()).to_string(),
@@ -342,20 +336,6 @@ impl Session {
                         "off"
                     }
                 )),
-                (Some("gidset"), Some(name)) => match minerule::algo::GidSetRepr::parse(name) {
-                    // Bad names get the engine's own typed error, shaped
-                    // like the unknown-algorithm / zero-workers cases.
-                    Ok(repr) => {
-                        self.engine.core.gidset = repr;
-                        Outcome::Output(format!("gidset representation set to {repr}"))
-                    }
-                    Err(e) => Outcome::Output(e.to_string()),
-                },
-                (Some("gidset"), None) => Outcome::Output(format!(
-                    "gidset: {} (gid-set representation: list | bitset | auto; \
-                     rules are identical for any choice)",
-                    self.engine.core.gidset
-                )),
                 (Some("sqlexec"), Some(name)) => match minerule::parse_sqlexec(name) {
                     // Bad names get the engine's own typed error, shaped
                     // like the unknown-algorithm / zero-workers cases.
@@ -370,7 +350,7 @@ impl Session {
                     Err(e) => Outcome::Output(e.to_string()),
                 },
                 (Some("sqlexec"), None) => Outcome::Output(format!(
-                    "sqlexec: {} (expression execution: compiled | interpreted | auto; \
+                    "sqlexec: {} (expression execution: compiled | interpreted; \
                      results are identical for any choice)",
                     self.engine.sqlexec
                 )),
@@ -709,6 +689,8 @@ mod tests {
         );
         assert!(out(&mut s, "\\set workers nan").contains("not a valid"));
         assert!(out(&mut s, "\\set gizmo on").contains("unknown setting"));
+        // The gid-set form is the miner's choice, not a setting.
+        assert!(out(&mut s, "\\set gidset list").contains("unknown setting 'gidset'"));
         // Mining still works (and yields the same rules) with 4 workers.
         out(&mut s, "\\demo paper");
         let result = out(
@@ -721,43 +703,9 @@ mod tests {
     }
 
     #[test]
-    fn gidset_setting() {
-        let mut s = Session::new();
-        assert!(out(&mut s, "\\set gidset").contains("gidset: auto"));
-        assert!(out(&mut s, "\\set gidset bitset").contains("gidset representation set to bitset"));
-        assert!(out(&mut s, "\\set").contains("gidset: bitset"));
-        // Bad names get the engine's typed error, stating the domain.
-        let bad = out(&mut s, "\\set gidset roaring");
-        assert!(
-            bad.contains("unknown gid-set representation 'roaring'"),
-            "{bad}"
-        );
-        assert!(bad.contains("list, bitset, auto"), "{bad}");
-        assert!(
-            out(&mut s, "\\set gidset").contains("gidset: bitset"),
-            "unchanged"
-        );
-        // Mining works with every representation and yields the same rules.
-        out(&mut s, "\\demo paper");
-        let stmt =
-            "MINE RULE R AS SELECT DISTINCT item AS BODY, item AS HEAD, SUPPORT, CONFIDENCE \
-             FROM Purchase GROUP BY customer \
-             EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
-        let mut outputs = Vec::new();
-        for repr in ["list", "bitset", "auto"] {
-            out(&mut s, &format!("\\set gidset {repr}"));
-            let result = out(&mut s, stmt);
-            assert!(result.contains("mined"), "{repr}: {result}");
-            out(&mut s, "DROP TABLE R");
-            outputs.push(result);
-        }
-        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "same rule counts");
-    }
-
-    #[test]
     fn sqlexec_setting() {
         let mut s = Session::new();
-        assert!(out(&mut s, "\\set sqlexec").contains("sqlexec: auto"));
+        assert!(out(&mut s, "\\set sqlexec").contains("sqlexec: compiled"));
         assert!(out(&mut s, "\\set sqlexec compiled").contains("sql executor set to compiled"));
         assert!(out(&mut s, "\\set").contains("sqlexec: compiled"));
         // Bad names get the engine's typed error, stating the domain.
@@ -766,7 +714,10 @@ mod tests {
             bad.contains("unknown sql execution mode 'vectorized'"),
             "{bad}"
         );
-        assert!(bad.contains("compiled, interpreted, auto"), "{bad}");
+        assert!(bad.contains("compiled, interpreted"), "{bad}");
+        // `auto` is not a mode: it gets the same typed rejection.
+        let auto = out(&mut s, "\\set sqlexec auto");
+        assert!(auto.contains("unknown sql execution mode 'auto'"), "{auto}");
         assert!(
             out(&mut s, "\\set sqlexec").contains("sqlexec: compiled"),
             "unchanged"
@@ -779,7 +730,7 @@ mod tests {
              FROM Purchase GROUP BY customer \
              EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.1";
         let mut outputs = Vec::new();
-        for mode in ["interpreted", "compiled", "auto"] {
+        for mode in ["interpreted", "compiled"] {
             out(&mut s, &format!("\\set sqlexec {mode}"));
             let select = out(&mut s, "SELECT COUNT(*) FROM Purchase WHERE price >= 100");
             let result = out(&mut s, stmt);

@@ -2,7 +2,7 @@
 //! classical candidate counting.
 
 use super::executor::ShardExec;
-use super::gidset::{GidSet, GidSetRepr, GidSetScratch};
+use super::gidset::{GidSet, GidSetScratch};
 use super::itemset::{apriori_join, is_subset, Itemset};
 use super::trie::ItemsetTrie;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
@@ -34,24 +34,6 @@ pub fn mine_gidlist_with_border(
     min_groups: u32,
 ) -> (Vec<LargeItemset>, Vec<Itemset>) {
     mine_gidlist_with_border_exec(groups, min_groups, &ShardExec::sequential())
-}
-
-/// [`mine_gidlist_with_border`] on a fresh sequential executor with a
-/// pinned gid-set representation — the entry point the partition and
-/// sampling miners use for their inner passes, so a caller's
-/// representation choice propagates into them (the inner pass's gid
-/// universe is the local group slice, keeping the density heuristic
-/// meaningful).
-pub fn mine_gidlist_with_border_repr(
-    groups: &[Vec<u32>],
-    min_groups: u32,
-    repr: GidSetRepr,
-) -> (Vec<LargeItemset>, Vec<Itemset>) {
-    mine_gidlist_with_border_exec(
-        groups,
-        min_groups,
-        &ShardExec::sequential().with_gidset_repr(repr),
-    )
 }
 
 /// [`mine_gidlist_with_border`] with an explicit shard executor: the L1

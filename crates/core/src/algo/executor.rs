@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use super::gidset::{GidSet, GidSetCounters, GidSetCtx, GidSetRepr};
+use super::gidset::{GidSet, GidSetCounters, GidSetCtx};
 use super::itemset::{is_subset, Itemset};
 use super::LargeItemset;
 
@@ -78,7 +78,6 @@ pub struct ExecStats {
 #[derive(Debug, Default)]
 pub struct ShardExec {
     workers: usize,
-    gidset_repr: GidSetRepr,
     gidset_counters: GidSetCounters,
     shard_timings: Mutex<Vec<Duration>>,
     stats: Mutex<ExecStats>,
@@ -89,23 +88,10 @@ impl ShardExec {
     pub fn new(workers: usize) -> ShardExec {
         ShardExec {
             workers: workers.max(1),
-            gidset_repr: GidSetRepr::default(),
             gidset_counters: GidSetCounters::default(),
             shard_timings: Mutex::new(Vec::new()),
             stats: Mutex::new(ExecStats::default()),
         }
-    }
-
-    /// Pin the gid-set physical representation the run's [`GidSetCtx`]s
-    /// will use (default: the per-set density heuristic).
-    pub fn with_gidset_repr(mut self, repr: GidSetRepr) -> ShardExec {
-        self.gidset_repr = repr;
-        self
-    }
-
-    /// The configured gid-set representation policy.
-    pub fn gidset_repr(&self) -> GidSetRepr {
-        self.gidset_repr
     }
 
     /// A gid-set context over `universe` gids, recording representation
@@ -113,7 +99,7 @@ impl ShardExec {
     /// mining a shard-local slice pass that slice's length as the
     /// universe (gids are shard-offset, so density stays meaningful).
     pub fn gidset_ctx(&self, universe: usize) -> GidSetCtx<'_> {
-        GidSetCtx::new(universe, self.gidset_repr, &self.gidset_counters)
+        GidSetCtx::new(universe, &self.gidset_counters)
     }
 
     /// The sequential executor (`workers = 1`); every `mine` call without
@@ -487,16 +473,20 @@ mod tests {
     #[test]
     fn gidsets_follow_repr_and_feed_stats() {
         let g = groups();
-        let exec = ShardExec::new(2).with_gidset_repr(GidSetRepr::Bitset);
-        assert_eq!(exec.gidset_repr(), GidSetRepr::Bitset);
+        let exec = ShardExec::new(2);
+        // Over the 7-group universe every non-empty set is dense
+        // (1 * 32 > 7), so all of them become bitsets.
         let ctx = exec.gidset_ctx(g.len());
         let sets = exec.gidsets(&g, &ctx);
         assert!(sets.values().all(|s| s.is_bitset()));
         assert_eq!(sets[&1].to_sorted_list(), vec![0, 1, 3, 4]);
+        // Over a universe of 1000 the same sets are sparse lists.
+        let sparse = exec.gidsets(&g, &exec.gidset_ctx(1000));
+        assert!(sparse.values().all(|s| !s.is_bitset()));
         exec.note_trie(5, 12);
         let stats = exec.take_stats();
         assert_eq!(stats.gidset_bitset_picked, sets.len() as u64);
-        assert_eq!(stats.gidset_list_picked, 0);
+        assert_eq!(stats.gidset_list_picked, sparse.len() as u64);
         assert_eq!((stats.trie_nodes, stats.trie_lookups), (5, 12));
         assert_eq!(exec.take_stats(), ExecStats::default(), "atomics drained");
     }

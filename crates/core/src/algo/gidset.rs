@@ -15,62 +15,23 @@
 //!
 //! The representation is chosen *per set* by a density heuristic
 //! (bitset once `len * 32 > universe`, i.e. when the list form would
-//! occupy more bits than the bitset form — see [`GidSetCtx::build`]), or
-//! pinned globally through [`GidSetRepr`] for debugging and the
-//! representation-shootout benches.
+//! occupy more bits than the bitset form — see [`GidSetCtx::build`]).
 //!
 //! **Determinism.** The choice depends only on the set's cardinality and
 //! the universe size, both of which are worker-count invariant under the
 //! ShardExec contract (contiguous shards merged in shard order), and the
 //! logical content of every intersection is representation independent.
-//! Hence mined inventories are bit-identical for every `(repr, workers)`
-//! combination — enforced by `tests/gidset_agreement.rs`.
+//! Hence mined inventories are bit-identical for every worker count and
+//! match a gid-set-free counting miner — enforced by
+//! `tests/gidset_agreement.rs`.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::itemset::intersect_into;
-use crate::error::MineError;
 
 /// List elements are 32 bits each, bitset slots one bit each — so the
 /// bitset becomes the smaller encoding once `len * 32 > universe`.
 const LIST_BITS_PER_ELEMENT: usize = 32;
-
-/// Requested physical representation for gid sets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum GidSetRepr {
-    /// Always sorted `u32` lists (the pre-hybrid behaviour).
-    List,
-    /// Always dense bitsets.
-    Bitset,
-    /// Per-set density heuristic: bitset when `len * 32 > universe`.
-    #[default]
-    Auto,
-}
-
-impl GidSetRepr {
-    /// Parse a user-facing representation name (`list | bitset | auto`).
-    pub fn parse(name: &str) -> Result<GidSetRepr, MineError> {
-        match name.to_ascii_lowercase().as_str() {
-            "list" => Ok(GidSetRepr::List),
-            "bitset" | "bits" => Ok(GidSetRepr::Bitset),
-            "auto" | "hybrid" => Ok(GidSetRepr::Auto),
-            _ => Err(MineError::UnknownGidSetRepr {
-                name: name.to_string(),
-            }),
-        }
-    }
-}
-
-impl fmt::Display for GidSetRepr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            GidSetRepr::List => "list",
-            GidSetRepr::Bitset => "bitset",
-            GidSetRepr::Auto => "auto",
-        })
-    }
-}
 
 /// A set of group identifiers in one of two physical forms. Logical
 /// equality (same gids) is what the mining contract depends on; the
@@ -163,13 +124,12 @@ impl GidSetCounters {
     }
 }
 
-/// Per-run context: the gid universe size (support denominator domain),
-/// the requested representation policy, and the counters to record into.
+/// Per-run context: the gid universe size (support denominator domain)
+/// and the counters to record into.
 /// `Copy`, so shard closures can capture it by value.
 #[derive(Debug, Clone, Copy)]
 pub struct GidSetCtx<'a> {
     universe: usize,
-    repr: GidSetRepr,
     counters: &'a GidSetCounters,
 }
 
@@ -193,12 +153,8 @@ pub struct GidSetScratch {
 
 impl<'a> GidSetCtx<'a> {
     /// A context over `universe` gids recording into `counters`.
-    pub fn new(universe: usize, repr: GidSetRepr, counters: &'a GidSetCounters) -> GidSetCtx<'a> {
-        GidSetCtx {
-            universe,
-            repr,
-            counters,
-        }
+    pub fn new(universe: usize, counters: &'a GidSetCounters) -> GidSetCtx<'a> {
+        GidSetCtx { universe, counters }
     }
 
     /// The gid universe size this context builds sets over.
@@ -206,18 +162,10 @@ impl<'a> GidSetCtx<'a> {
         self.universe
     }
 
-    /// The representation policy in force.
-    pub fn repr(&self) -> GidSetRepr {
-        self.repr
-    }
-
-    /// Should a set of `len` gids be a bitset under the policy?
+    /// Should a set of `len` gids be a bitset? Yes once the list form
+    /// would take more bits than the bitset form.
     fn pick_bitset(&self, len: usize) -> bool {
-        match self.repr {
-            GidSetRepr::List => false,
-            GidSetRepr::Bitset => true,
-            GidSetRepr::Auto => len * LIST_BITS_PER_ELEMENT > self.universe,
-        }
+        len * LIST_BITS_PER_ELEMENT > self.universe
     }
 
     fn words_len(&self) -> usize {
@@ -225,7 +173,7 @@ impl<'a> GidSetCtx<'a> {
     }
 
     /// Build a set from a strictly ascending gid list, choosing the
-    /// representation by the density heuristic (or the pinned policy).
+    /// representation by the density heuristic.
     pub fn build(&self, sorted: Vec<u32>) -> GidSet {
         if self.pick_bitset(sorted.len()) {
             self.counters.bitset_picked.fetch_add(1, Ordering::Relaxed);
@@ -367,31 +315,10 @@ fn intersect_len_lists(a: &[u32], b: &[u32]) -> u32 {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(universe: usize, repr: GidSetRepr, counters: &'a GidSetCounters) -> GidSetCtx<'a> {
-        GidSetCtx::new(universe, repr, counters)
-    }
-
-    #[test]
-    fn parse_and_display_roundtrip() {
-        for (name, repr) in [
-            ("list", GidSetRepr::List),
-            ("bitset", GidSetRepr::Bitset),
-            ("auto", GidSetRepr::Auto),
-        ] {
-            assert_eq!(GidSetRepr::parse(name).unwrap(), repr);
-            assert_eq!(repr.to_string(), name);
-        }
-        assert_eq!(GidSetRepr::parse("BITS").unwrap(), GidSetRepr::Bitset);
-        assert!(matches!(
-            GidSetRepr::parse("roaring"),
-            Err(MineError::UnknownGidSetRepr { .. })
-        ));
-    }
-
     #[test]
     fn density_heuristic_picks_by_len() {
         let counters = GidSetCounters::default();
-        let c = ctx(320, GidSetRepr::Auto, &counters);
+        let c = GidSetCtx::new(320, &counters);
         // 320-bit universe: list of ≤10 stays a list (10 * 32 = 320 ≯ 320).
         assert!(!c.build((0..10).collect()).is_bitset());
         assert!(c.build((0..11).collect()).is_bitset());
@@ -400,22 +327,26 @@ mod tests {
     }
 
     #[test]
-    fn pinned_reprs_override_density() {
+    fn seal_repicks_for_the_result_cardinality() {
+        // Two dense bitsets whose intersection is sparse: the word-AND
+        // result is sealed back into list form.
         let counters = GidSetCounters::default();
-        let dense: Vec<u32> = (0..100).collect();
-        assert!(!ctx(100, GidSetRepr::List, &counters)
-            .build(dense.clone())
-            .is_bitset());
-        assert!(ctx(100_000, GidSetRepr::Bitset, &counters)
-            .build(vec![7])
-            .is_bitset());
+        let c = GidSetCtx::new(128, &counters);
+        let a = c.build((0..64).collect());
+        let b = c.build((60..128).collect());
+        assert!(a.is_bitset() && b.is_bitset());
+        let got = c.intersect(&a, &b);
+        assert!(!got.is_bitset());
+        assert_eq!(got.to_sorted_list(), vec![60, 61, 62, 63]);
     }
 
     #[test]
     fn bitset_roundtrips_and_contains() {
         let counters = GidSetCounters::default();
         let gids = vec![0, 1, 63, 64, 65, 127, 200];
-        let set = ctx(201, GidSetRepr::Bitset, &counters).build(gids.clone());
+        // 7 * 32 > 201: dense enough for the heuristic to pick a bitset.
+        let set = GidSetCtx::new(201, &counters).build(gids.clone());
+        assert!(set.is_bitset());
         assert_eq!(set.len(), gids.len() as u32);
         assert_eq!(set.to_sorted_list(), gids);
         assert!(set.contains(63) && set.contains(200));
@@ -429,9 +360,18 @@ mod tests {
         let a: Vec<u32> = (0..300).filter(|g| g % 3 == 0).collect();
         let b: Vec<u32> = (0..300).filter(|g| g % 5 == 0).collect();
         let expect: Vec<u32> = (0..300).filter(|g| g % 15 == 0).collect();
-        let auto = ctx(300, GidSetRepr::Auto, &counters);
+        let ctx = GidSetCtx::new(300, &counters);
         let as_list = |v: &[u32]| GidSet::List(v.to_vec());
-        let as_bits = |v: &[u32]| ctx(300, GidSetRepr::Bitset, &counters).build(v.to_vec());
+        let as_bits = |v: &[u32]| {
+            let mut words = vec![0u64; 300usize.div_ceil(64)];
+            for &g in v {
+                words[(g >> 6) as usize] |= 1u64 << (g & 63);
+            }
+            GidSet::Bits {
+                words,
+                len: v.len() as u32,
+            }
+        };
         let pairs: Vec<(GidSet, GidSet)> = vec![
             (as_list(&a), as_list(&b)),
             (as_bits(&a), as_bits(&b)),
@@ -439,12 +379,12 @@ mod tests {
             (as_bits(&a), as_list(&b)),
         ];
         for (x, y) in &pairs {
-            let got = auto.intersect(x, y);
+            let got = ctx.intersect(x, y);
             assert_eq!(got.to_sorted_list(), expect);
-            assert_eq!(auto.intersect_len(x, y) as usize, expect.len());
+            assert_eq!(ctx.intersect_len(x, y) as usize, expect.len());
             let mut scratch = GidSetScratch::default();
             assert_eq!(
-                auto.intersect_into(x, y, &mut scratch) as usize,
+                ctx.intersect_into(x, y, &mut scratch) as usize,
                 expect.len()
             );
         }
@@ -453,7 +393,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_clean_between_calls() {
         let counters = GidSetCounters::default();
-        let c = ctx(64, GidSetRepr::List, &counters);
+        // A universe large enough that every set here stays a list.
+        let c = GidSetCtx::new(1 << 20, &counters);
         let mut scratch = GidSetScratch::default();
         let a = GidSet::List(vec![1, 2, 3, 4, 5]);
         let b = GidSet::List(vec![2, 4, 6]);
@@ -479,7 +420,7 @@ mod tests {
     #[test]
     fn counters_drain_and_reset() {
         let counters = GidSetCounters::default();
-        let c = ctx(32, GidSetRepr::Auto, &counters);
+        let c = GidSetCtx::new(32, &counters);
         let a = c.build(vec![1, 2, 3]);
         let b = c.build(vec![2, 3, 4]);
         c.intersect_len(&a, &b);

@@ -29,7 +29,7 @@ pub mod sampling;
 pub mod trie;
 
 pub use executor::ShardExec;
-pub use gidset::{GidSet, GidSetCtx, GidSetRepr, GidSetScratch};
+pub use gidset::{GidSet, GidSetCtx, GidSetScratch};
 pub use trie::ItemsetTrie;
 
 use crate::ast::CardSpec;

@@ -5,7 +5,7 @@
 
 use std::collections::HashSet;
 
-use super::apriori::mine_gidlist_with_border_repr;
+use super::apriori::mine_gidlist_with_border;
 use super::executor::ShardExec;
 use super::itemset::Itemset;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
@@ -64,8 +64,7 @@ impl ItemsetMiner for Partition {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(4),
-            )
-            .with_gidset_repr(exec.gidset_repr());
+            );
             &own_exec
         } else {
             exec
@@ -89,15 +88,13 @@ impl ItemsetMiner for Partition {
         // partition count is an algorithm parameter independent of the
         // worker count, so the *list of partitions* is sharded across
         // workers; the candidate union is order-insensitive anyway.
-        // Local passes inherit the caller's gid-set representation; each
-        // pass's gid universe is its own partition slice (local gids run
-        // 0..part.len()), so the density heuristic scales with it.
-        let repr = exec.gidset_repr();
+        // Each local pass's gid universe is its own partition slice (local
+        // gids run 0..part.len()), so the density heuristic scales with it.
         let parts: Vec<&[Vec<u32>]> = input.groups.chunks(chunk).collect();
         let locals = exec.map_shards(&parts, |_, assigned| {
             assigned
                 .iter()
-                .map(|part| mine_gidlist_with_border_repr(part, local_min(part.len()), repr).0)
+                .map(|part| mine_gidlist_with_border(part, local_min(part.len())).0)
                 .collect::<Vec<Vec<LargeItemset>>>()
         });
         let mut candidates: HashSet<Itemset> = HashSet::new();

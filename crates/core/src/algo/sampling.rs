@@ -6,7 +6,7 @@
 //! with the others on every input — the sampling is purely a performance
 //! strategy, as the paper's architecture requires.
 
-use super::apriori::{mine_gidlist_with_border_exec, mine_gidlist_with_border_repr};
+use super::apriori::{mine_gidlist_with_border, mine_gidlist_with_border_exec};
 use super::executor::ShardExec;
 use super::{ItemsetMiner, LargeItemset, SimpleInput};
 
@@ -53,10 +53,8 @@ impl ItemsetMiner for Sampling {
         let sample_share = take as f64 / n as f64 * input.total_groups as f64;
         let lowered = ((sample_share * fraction * self.threshold_scale).floor() as u32).max(1);
 
-        // The sample pass inherits the caller's gid-set representation;
-        // its gid universe is the sample itself.
-        let (sample_large, mut border) =
-            mine_gidlist_with_border_repr(&sample, lowered, exec.gidset_repr());
+        // The sample pass's gid universe is the sample itself.
+        let (sample_large, mut border) = mine_gidlist_with_border(&sample, lowered);
 
         // The negative border must cover the whole item universe: items
         // that never appeared in the sample are minimal non-members too.

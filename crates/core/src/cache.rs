@@ -302,7 +302,10 @@ impl PreprocessCache {
 
 /// Current `(lowercase name, version)` of every FROM table, or `None` when
 /// a source table is missing from the catalog.
-fn source_versions(db: &Database, stmt: &MineRuleStatement) -> Option<Vec<(String, u64)>> {
+pub(crate) fn source_versions(
+    db: &Database,
+    stmt: &MineRuleStatement,
+) -> Option<Vec<(String, u64)>> {
     let mut versions = Vec::with_capacity(stmt.from.len());
     for source in &stmt.from {
         let table = db.catalog().table(&source.name).ok()?;

@@ -45,7 +45,7 @@
 
 use std::time::Duration;
 
-use crate::algo::{self, EncodedRule, GidSetRepr, LargeItemset, ShardExec, SimpleInput};
+use crate::algo::{self, EncodedRule, LargeItemset, ShardExec, SimpleInput};
 use crate::encoded::{EncodedData, EncodedInput, GeneralTuple};
 use crate::error::{MineError, Result};
 use crate::lattice::elementary::{build_contexts, BuildOptions};
@@ -67,11 +67,6 @@ pub struct CoreOptions {
     /// `1` keeps everything on the calling thread; any value produces the
     /// same rule inventory (the executor's determinism contract).
     pub workers: usize,
-    /// Physical gid-set representation for the vertical pool members
-    /// (simple path). [`GidSetRepr::Auto`] picks per set by density;
-    /// pinning `List` or `Bitset` is a debugging/bench knob — every
-    /// choice yields the same rule inventory.
-    pub gidset: GidSetRepr,
 }
 
 impl Default for CoreOptions {
@@ -81,7 +76,6 @@ impl Default for CoreOptions {
             order: ExpansionOrder::MinParent,
             force_general: false,
             workers: 1,
-            gidset: GidSetRepr::Auto,
         }
     }
 }
@@ -131,7 +125,7 @@ pub fn run_core_with_telemetry(
                 })?;
             let simple =
                 SimpleInput::from_groups(groups.clone(), input.total_groups, input.min_groups);
-            let exec = ShardExec::new(opts.workers).with_gidset_repr(opts.gidset);
+            let exec = ShardExec::new(opts.workers);
             let large = miner.mine_sharded(&simple, &exec);
             telemetry.counter_add("core.itemsets.large", large.len() as u64);
             let (mut rules, rule_stats) = algo::rules_from_itemsets_counted(
@@ -400,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn gidset_representations_agree_on_rules() {
+    fn gidset_miners_agree_with_apriori_count() {
         let groups = vec![
             (1, vec![1, 2, 3]),
             (2, vec![1, 2]),
@@ -409,27 +403,25 @@ mod tests {
             (5, vec![1, 2, 3]),
         ];
         let input = simple_input(groups, CardSpec::one_to_n());
+        // apriori-count counts supports by subset tests, with no gid sets.
         let baseline = run_core(
             &input,
             &CoreOptions {
-                gidset: GidSetRepr::List,
+                algorithm: "count".into(),
                 ..CoreOptions::default()
             },
         )
         .unwrap();
-        for repr in [GidSetRepr::Bitset, GidSetRepr::Auto] {
-            for algorithm in ["apriori", "eclat", "partition", "sampling"] {
-                let out = run_core(
-                    &input,
-                    &CoreOptions {
-                        algorithm: algorithm.into(),
-                        gidset: repr,
-                        ..CoreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(out.rules, baseline.rules, "{algorithm} repr={repr}");
-            }
+        for algorithm in ["apriori", "eclat", "partition", "sampling"] {
+            let out = run_core(
+                &input,
+                &CoreOptions {
+                    algorithm: algorithm.into(),
+                    ..CoreOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(out.rules, baseline.rules, "{algorithm}");
         }
     }
 

@@ -20,9 +20,6 @@ pub enum MineError {
     /// A worker count of zero was configured — a user configuration
     /// error, reported with the valid domain (like `UnknownAlgorithm`).
     InvalidWorkerCount { value: usize },
-    /// An unrecognised gid-set representation name was configured — a
-    /// user configuration error, reported with the valid domain.
-    UnknownGidSetRepr { name: String },
     /// An unrecognised SQL execution mode name was configured — a user
     /// configuration error, reported with the valid domain.
     UnknownSqlExec { name: String },
@@ -148,13 +145,9 @@ impl fmt::Display for MineError {
                 f,
                 "invalid worker count '{value}'; the mining executor needs at least 1 worker"
             ),
-            MineError::UnknownGidSetRepr { name } => write!(
-                f,
-                "unknown gid-set representation '{name}'; valid choices: list, bitset, auto"
-            ),
             MineError::UnknownSqlExec { name } => write!(
                 f,
-                "unknown sql execution mode '{name}'; valid choices: compiled, interpreted, auto"
+                "unknown sql execution mode '{name}'; valid choices: compiled, interpreted"
             ),
             MineError::UnknownExecMode { name } => write!(
                 f,

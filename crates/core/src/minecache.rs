@@ -47,7 +47,7 @@ use relational::{Database, TableDelta, Value};
 
 use crate::algo::{rules_from_itemsets_counted, sort_rules, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
-use crate::cache::{PreprocessCache, StoreOutcome};
+use crate::cache::{source_versions, PreprocessCache, StoreOutcome};
 use crate::directives::StatementClass;
 use crate::error::Result;
 use crate::preprocess::{min_groups_for, PreprocessReport};
@@ -372,16 +372,6 @@ fn compound_key(values: &[&Value]) -> String {
         .map(|v| value_key(v))
         .collect::<Vec<_>>()
         .join("\u{1f}")
-}
-
-/// Current `(lowercase name, version)` of every FROM table.
-fn source_versions(db: &Database, stmt: &MineRuleStatement) -> Option<Vec<(String, u64)>> {
-    let mut versions = Vec::with_capacity(stmt.from.len());
-    for source in &stmt.from {
-        let table = db.catalog().table(&source.name).ok()?;
-        versions.push((source.name.to_ascii_lowercase(), table.version()));
-    }
-    Some(versions)
 }
 
 /// Resolve the statement's grouping and item (body-schema) columns on the

@@ -80,9 +80,9 @@ pub struct MineRuleEngine {
     /// catalog, and enables preprocessing reuse).
     pub table_prefix: String,
     /// How the SQL server evaluates expressions for this engine's runs
-    /// (`auto` — the default — uses the compiled path). Every choice
-    /// produces bit-identical rules and preprocessing reports; this is a
-    /// perf/debugging knob, enforced by `tests/sqlexec_agreement.rs`.
+    /// (`compiled` by default). Both choices produce bit-identical rules
+    /// and preprocessing reports; this is a perf/debugging knob, enforced
+    /// by `tests/sqlexec_agreement.rs`.
     pub sqlexec: SqlExec,
     /// How the SQL server executes its hot sites for this engine's runs
     /// (`auto` — the default — runs a site batch-at-a-time when every
@@ -165,16 +165,8 @@ impl MineRuleEngine {
         self
     }
 
-    /// Pin the physical gid-set representation used by the vertical pool
-    /// members (`auto` — the default — picks per set by density). Every
-    /// choice mines the same rules; this is a debugging/bench knob.
-    pub fn with_gidset(mut self, repr: crate::algo::GidSetRepr) -> MineRuleEngine {
-        self.core.gidset = repr;
-        self
-    }
-
     /// Pin the SQL server's expression execution mode for every run of
-    /// this engine (`auto` — the default — uses the compiled path).
+    /// this engine (`compiled` by default).
     /// Every choice mines the same rules; this is a perf/debugging knob.
     pub fn with_sqlexec(mut self, mode: SqlExec) -> MineRuleEngine {
         self.sqlexec = mode;
@@ -680,8 +672,8 @@ impl MineRuleEngine {
     }
 }
 
-/// Resolve a SQL execution mode by name (`"compiled"`, `"interpreted"`,
-/// `"auto"`; ASCII-case-insensitive), reporting unknown names with the
+/// Resolve a SQL execution mode by name (`"compiled"`, `"interpreted"`;
+/// ASCII-case-insensitive), reporting unknown names with the
 /// valid domain like [`crate::MineError::UnknownAlgorithm`] does.
 pub fn parse_sqlexec(name: &str) -> Result<SqlExec> {
     SqlExec::from_name(name).ok_or_else(|| MineError::UnknownSqlExec {

@@ -51,7 +51,7 @@ OPTIONS:
                               (repeatable)
     --inject <SKEW>           inject a deliberate fault to prove the harness
                               catches it: none | compiled-drop-row |
-                              bitset-drop-rule (default none)
+                              parallel-drop-rule (default none)
     --reference-max-rows <N>  reference-oracle gate (default 40)
     --work-dir <DIR>          scratch dir for paged-storage runs
                               (default: /dev/shm or the system temp dir)
@@ -93,7 +93,7 @@ fn parse_args() -> Result<Args, String> {
             "--inject" => {
                 let v = value("--inject")?;
                 args.inject = Skew::parse(&v).ok_or_else(|| {
-                    format!("unknown skew `{v}` (none | compiled-drop-row | bitset-drop-rule)")
+                    format!("unknown skew `{v}` (none | compiled-drop-row | parallel-drop-rule)")
                 })?;
             }
             "--reference-max-rows" => {
@@ -149,7 +149,7 @@ fn skew_name(s: Skew) -> Option<String> {
     match s {
         Skew::None => None,
         Skew::CompiledDropsLastRow => Some("compiled-drop-row".into()),
-        Skew::BitsetDropsLastRule => Some("bitset-drop-rule".into()),
+        Skew::ParallelDropsLastRule => Some("parallel-drop-rule".into()),
     }
 }
 

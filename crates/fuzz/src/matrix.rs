@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use minerule::algo::GidSetRepr;
 use minerule::reference::reference_mine;
 use minerule::{parse_mine_rule, DecodedRule, MineRuleEngine};
 use relational::{Database, ExecMode, IndexPolicy, PlannerMode, SqlExec, StorageBackend};
@@ -34,7 +33,6 @@ const WORKER_DEPENDENT_COUNTER: &str = "core.shards.run";
 pub struct Config {
     pub sqlexec: SqlExec,
     pub indexes: IndexPolicy,
-    pub gidset: GidSetRepr,
     pub workers: usize,
     pub preprocache: bool,
     pub minecache: bool,
@@ -45,14 +43,12 @@ pub struct Config {
 
 impl Config {
     /// The pinned comparison baseline: the least clever point of the
-    /// matrix — interpreted expressions, no indexes, list gid-sets, one
-    /// worker, no caches, memory storage, naive planning, row-at-a-time
-    /// execution.
+    /// matrix — interpreted expressions, no indexes, one worker, no
+    /// caches, memory storage, naive planning, row-at-a-time execution.
     pub fn baseline() -> Config {
         Config {
             sqlexec: SqlExec::Interpreted,
             indexes: IndexPolicy::Off,
-            gidset: GidSetRepr::List,
             workers: 1,
             preprocache: false,
             minecache: false,
@@ -65,16 +61,15 @@ impl Config {
     /// Human-readable knob listing, also used in repro headers.
     pub fn label(&self) -> String {
         format!(
-            "sqlexec={} indexes={} gidset={} workers={} preprocache={} minecache={} storage={} planner={} exec={}",
-            sqlexec_name(self.sqlexec),
-            indexes_name(self.indexes),
-            gidset_name(self.gidset),
+            "sqlexec={} indexes={} workers={} preprocache={} minecache={} storage={} planner={} exec={}",
+            self.sqlexec.name(),
+            self.indexes.name(),
             self.workers,
             if self.preprocache { "on" } else { "off" },
             if self.minecache { "on" } else { "off" },
-            storage_name(self.storage),
+            self.storage.name(),
             self.planner.name(),
-            exec_name(self.exec),
+            self.exec.name(),
         )
     }
 
@@ -83,70 +78,30 @@ impl Config {
     /// `core.shards.run`).
     fn worker_group_key(&self) -> String {
         format!(
-            "sqlexec={} indexes={} gidset={} preprocache={} minecache={} storage={} planner={} exec={}",
-            sqlexec_name(self.sqlexec),
-            indexes_name(self.indexes),
-            gidset_name(self.gidset),
+            "sqlexec={} indexes={} preprocache={} minecache={} storage={} planner={} exec={}",
+            self.sqlexec.name(),
+            self.indexes.name(),
             if self.preprocache { "on" } else { "off" },
             if self.minecache { "on" } else { "off" },
-            storage_name(self.storage),
+            self.storage.name(),
             self.planner.name(),
-            exec_name(self.exec),
+            self.exec.name(),
         )
     }
 
     /// Short filesystem-safe slug for per-config scratch directories.
     fn slug(&self) -> String {
         format!(
-            "{}_{}_{}_w{}_{}_{}_{}_{}_{}",
-            sqlexec_name(self.sqlexec),
-            indexes_name(self.indexes),
-            gidset_name(self.gidset),
+            "{}_{}_w{}_{}_{}_{}_{}_{}",
+            self.sqlexec.name(),
+            self.indexes.name(),
             self.workers,
             if self.preprocache { "c1" } else { "c0" },
             if self.minecache { "m1" } else { "m0" },
-            storage_name(self.storage),
+            self.storage.name(),
             self.planner.name(),
-            exec_name(self.exec),
+            self.exec.name(),
         )
-    }
-}
-
-fn sqlexec_name(m: SqlExec) -> &'static str {
-    match m {
-        SqlExec::Compiled => "compiled",
-        SqlExec::Interpreted => "interpreted",
-        SqlExec::Auto => "auto",
-    }
-}
-
-fn indexes_name(p: IndexPolicy) -> &'static str {
-    match p {
-        IndexPolicy::Auto => "auto",
-        IndexPolicy::Off => "off",
-    }
-}
-
-fn gidset_name(g: GidSetRepr) -> &'static str {
-    match g {
-        GidSetRepr::List => "list",
-        GidSetRepr::Bitset => "bitset",
-        GidSetRepr::Auto => "auto",
-    }
-}
-
-fn storage_name(s: StorageBackend) -> &'static str {
-    match s {
-        StorageBackend::Memory => "memory",
-        StorageBackend::Paged => "paged",
-    }
-}
-
-fn exec_name(m: ExecMode) -> &'static str {
-    match m {
-        ExecMode::Vector => "vector",
-        ExecMode::Row => "row",
-        ExecMode::Auto => "auto",
     }
 }
 
@@ -154,9 +109,9 @@ fn exec_name(m: ExecMode) -> &'static str {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Matrix {
     /// One configuration per axis value plus two kitchen-sink mixes
-    /// (14 configurations) — the per-`cargo test` corpus budget.
+    /// (12 configurations) — the per-`cargo test` corpus budget.
     Quick,
-    /// The full cross-product: 2 × 2 × 3 × 3 × 2 × 2 × 2 × 2 × 2 = 1152
+    /// The full cross-product: 2 × 2 × 3 × 2 × 2 × 2 × 2 × 2 = 384
     /// configurations — the fuzzing budget.
     Full,
 }
@@ -183,14 +138,6 @@ impl Matrix {
                 });
                 out.push(Config {
                     indexes: IndexPolicy::Auto,
-                    ..base
-                });
-                out.push(Config {
-                    gidset: GidSetRepr::Bitset,
-                    ..base
-                });
-                out.push(Config {
-                    gidset: GidSetRepr::Auto,
                     ..base
                 });
                 out.push(Config { workers: 4, ..base });
@@ -222,7 +169,6 @@ impl Matrix {
                 out.push(Config {
                     sqlexec: SqlExec::Compiled,
                     indexes: IndexPolicy::Auto,
-                    gidset: GidSetRepr::Auto,
                     workers: 4,
                     preprocache: true,
                     minecache: true,
@@ -233,7 +179,6 @@ impl Matrix {
                 out.push(Config {
                     sqlexec: SqlExec::Compiled,
                     indexes: IndexPolicy::Auto,
-                    gidset: GidSetRepr::Bitset,
                     workers: 2,
                     preprocache: true,
                     minecache: true,
@@ -247,29 +192,24 @@ impl Matrix {
                 let mut out = vec![base];
                 for sqlexec in [SqlExec::Interpreted, SqlExec::Compiled] {
                     for indexes in [IndexPolicy::Off, IndexPolicy::Auto] {
-                        for gidset in [GidSetRepr::List, GidSetRepr::Bitset, GidSetRepr::Auto] {
-                            for workers in [1usize, 2, 4] {
-                                for preprocache in [false, true] {
-                                    for minecache in [false, true] {
-                                        for storage in
-                                            [StorageBackend::Memory, StorageBackend::Paged]
-                                        {
-                                            for planner in [PlannerMode::Naive, PlannerMode::Cost] {
-                                                for exec in [ExecMode::Row, ExecMode::Vector] {
-                                                    let c = Config {
-                                                        sqlexec,
-                                                        indexes,
-                                                        gidset,
-                                                        workers,
-                                                        preprocache,
-                                                        minecache,
-                                                        storage,
-                                                        planner,
-                                                        exec,
-                                                    };
-                                                    if c != base {
-                                                        out.push(c);
-                                                    }
+                        for workers in [1usize, 2, 4] {
+                            for preprocache in [false, true] {
+                                for minecache in [false, true] {
+                                    for storage in [StorageBackend::Memory, StorageBackend::Paged] {
+                                        for planner in [PlannerMode::Naive, PlannerMode::Cost] {
+                                            for exec in [ExecMode::Row, ExecMode::Vector] {
+                                                let c = Config {
+                                                    sqlexec,
+                                                    indexes,
+                                                    workers,
+                                                    preprocache,
+                                                    minecache,
+                                                    storage,
+                                                    planner,
+                                                    exec,
+                                                };
+                                                if c != base {
+                                                    out.push(c);
                                                 }
                                             }
                                         }
@@ -299,18 +239,18 @@ pub enum Skew {
     /// Under compiled expressions, silently drop the last row of every
     /// non-empty SELECT result (models a codegen bug).
     CompiledDropsLastRow,
-    /// Under bitset gid-sets, silently drop the last mined rule (models
-    /// an intersection bug in one representation).
-    BitsetDropsLastRule,
+    /// With more than one mining worker, silently drop the last mined
+    /// rule (models a shard-merge bug).
+    ParallelDropsLastRule,
 }
 
 impl Skew {
-    /// Parse a skew name (`none` | `compiled-drop-row` | `bitset-drop-rule`).
+    /// Parse a skew name (`none` | `compiled-drop-row` | `parallel-drop-rule`).
     pub fn parse(name: &str) -> Option<Skew> {
         match name.to_ascii_lowercase().as_str() {
             "none" => Some(Skew::None),
             "compiled-drop-row" => Some(Skew::CompiledDropsLastRow),
-            "bitset-drop-rule" => Some(Skew::BitsetDropsLastRule),
+            "parallel-drop-rule" => Some(Skew::ParallelDropsLastRule),
             _ => None,
         }
     }
@@ -484,7 +424,6 @@ fn run_config(
 
     let engine = MineRuleEngine::new()
         .with_workers(config.workers)
-        .with_gidset(config.gidset)
         .with_sqlexec(config.sqlexec)
         .with_preprocache(config.preprocache)
         .with_minecache(config.minecache)
@@ -527,7 +466,7 @@ fn run_config(
             Op::Mine(s) => match engine.execute(&mut db, s) {
                 Ok(outcome) => {
                     let mut rules = outcome.rules;
-                    if skew == Skew::BitsetDropsLastRule && config.gidset == GidSetRepr::Bitset {
+                    if skew == Skew::ParallelDropsLastRule && config.workers > 1 {
                         rules.pop();
                     }
                     let sig = signature(&rules);
@@ -785,7 +724,7 @@ mod tests {
     #[test]
     fn full_matrix_is_the_cross_product() {
         let configs = Matrix::Full.configs();
-        assert_eq!(configs.len(), 2 * 2 * 3 * 3 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(configs.len(), 2 * 2 * 3 * 2 * 2 * 2 * 2 * 2); // 384
         assert_eq!(configs[0], Config::baseline());
         let labels: std::collections::BTreeSet<String> =
             configs.iter().map(|c| c.label()).collect();
@@ -795,13 +734,12 @@ mod tests {
     #[test]
     fn quick_matrix_covers_every_axis_value() {
         let configs = Matrix::Quick.configs();
+        assert_eq!(configs.len(), 12);
         assert_eq!(configs[0], Config::baseline());
         let joined: Vec<String> = configs.iter().map(|c| c.label()).collect();
         for needle in [
             "sqlexec=compiled",
             "indexes=auto",
-            "gidset=bitset",
-            "gidset=auto",
             "workers=4",
             "preprocache=on",
             "minecache=on",

@@ -8,8 +8,9 @@
 
 use crate::engine::Database;
 use crate::error::Result;
-use crate::exec::join::{conjuncts, resolves_in};
+use crate::exec::join::{conjuncts, cost_builds_incoming, resolves_in};
 use crate::expr::compile::ExecMode;
+use crate::expr::eval::QueryCtx;
 use crate::expr::vector::expr_vector_safe;
 use crate::expr::{BinOp, Expr};
 use crate::index::IndexPolicy;
@@ -144,9 +145,10 @@ fn exec_tag(db: &Database, exprs: &[&Expr]) -> &'static str {
     }
 }
 
-/// The access path the executor would pick for one equi-join conjunct.
-/// Factors fold left to right, so the side resolving in the later factor
-/// is the hash-build side — the one a table index can replace.
+/// The access path the executor would pick for one equi-join conjunct:
+/// the hash-build side is the one a table index can replace. The naive
+/// planner folds factors left to right, so the later factor builds; the
+/// cost planner's choice is [`cost_build_factor`].
 fn equi_access_path(
     db: &Database,
     stmt: &SelectStmt,
@@ -163,18 +165,78 @@ fn equi_access_path(
             .iter()
             .position(|s| s.as_ref().is_some_and(|s| resolves_in(e, s)))
     };
-    let (build_factor, build_key) = match (factor_of(left), factor_of(right)) {
-        (Some(lf), Some(rf)) if lf != rf => {
-            if lf > rf {
-                (lf, left)
-            } else {
-                (rf, right)
-            }
-        }
+    let (lf, rf) = match (factor_of(left), factor_of(right)) {
+        (Some(lf), Some(rf)) if lf != rf => (lf, rf),
         _ => return "scan".into(),
     };
-    index_label(db, stmt, pushed[build_factor], build_factor, &[build_key])
+    let build = match db.planner_mode() {
+        PlannerMode::Naive => Some(lf.max(rf)),
+        PlannerMode::Cost => cost_build_factor(db, stmt, pushed, (lf, left), (rf, right)),
+    };
+    build
+        .and_then(|f| {
+            let key = if f == lf { left } else { right };
+            index_label(db, stmt, pushed[f], f, &[key])
+        })
         .unwrap_or_else(|| "scan".into())
+}
+
+/// The factor the cost planner builds one equi-join conjunct's hash table
+/// on, or `None` when it builds over an accumulated multi-factor input,
+/// which no table index can serve. The planner starts from the smallest
+/// factor and picks each build side with [`cost_builds_incoming`]. Sizes
+/// here are catalog row counts (pushdown filters are not run), and when
+/// neither side starts the fold the smaller one is taken to join first.
+/// Without a row count for every factor the later factor is reported.
+fn cost_build_factor(
+    db: &Database,
+    stmt: &SelectStmt,
+    pushed: &[bool],
+    (lf, left): (usize, &Expr),
+    (rf, right): (usize, &Expr),
+) -> Option<usize> {
+    let Some(rows) = (0..pushed.len())
+        .map(|i| factor_rows(db, stmt, i))
+        .collect::<Option<Vec<u64>>>()
+    else {
+        return Some(lf.max(rf));
+    };
+    let start = (0..rows.len()).min_by_key(|&i| (rows[i], i))?;
+    let (acc, incoming) = if rf == start || (lf != start && (rows[rf], rf) < (rows[lf], lf)) {
+        (rf, lf)
+    } else {
+        (lf, rf)
+    };
+    let indexed = |f: usize| {
+        let key = if f == lf { left } else { right };
+        !pushed[f] && live_index(db, stmt, f, key)
+    };
+    let builds_incoming = cost_builds_incoming(
+        rows[incoming] as usize,
+        indexed(incoming),
+        rows[acc] as usize,
+        acc == start && indexed(acc),
+    );
+    if builds_incoming {
+        Some(incoming)
+    } else {
+        (acc == start).then_some(acc)
+    }
+}
+
+/// Whether the engine already holds a current index on plain-column
+/// `key` of factor `i`'s base table.
+fn live_index(db: &Database, stmt: &SelectStmt, i: usize, key: &Expr) -> bool {
+    let Some(TableSource::Named(name)) = stmt.from.get(i).map(|t| &t.source) else {
+        return false;
+    };
+    let (Ok(table), Expr::Column { name: col, .. }) = (db.catalog().table(name), key) else {
+        return false;
+    };
+    table
+        .schema()
+        .resolve(None, col)
+        .is_ok_and(|c| db.has_table_index(table.name(), table.version(), &[c]))
 }
 
 /// Row count of factor `i` when it is a plain named base table.

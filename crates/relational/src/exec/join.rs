@@ -400,6 +400,25 @@ impl<'a> FactorPred<'a> {
     }
 }
 
+/// The cost planner's build side for one hash-join step between the
+/// accumulated input and an incoming factor: a side with a live table
+/// index wins outright; otherwise the smaller input builds, ties going
+/// to the incoming factor. Returns `true` when the incoming factor
+/// builds. EXPLAIN asks the same question, so its access paths match
+/// what execution does.
+pub(crate) fn cost_builds_incoming(
+    incoming_rows: usize,
+    incoming_indexed: bool,
+    acc_rows: usize,
+    acc_indexed: bool,
+) -> bool {
+    if incoming_indexed != acc_indexed {
+        incoming_indexed
+    } else {
+        incoming_rows <= acc_rows
+    }
+}
+
 /// Cost-based join of a multi-factor FROM list.
 ///
 /// Joins are ordered greedily: start from the smallest factor, then
@@ -533,15 +552,8 @@ fn cost_join<'a>(
                 (Some(b), Some(cols)) if ctx.has_table_index(&b.table, b.version, cols));
             let t_has_ix = matches!((tuples_base.and_then(|s| factors[s].base.as_ref()), &t_cols),
                 (Some(b), Some(cols)) if ctx.has_table_index(&b.table, b.version, cols));
-            // Build side: a live index wins outright; otherwise the
-            // smaller input builds, ties going to the incoming factor.
-            let build_on_f = if f_has_ix != t_has_ix {
-                f_has_ix
-            } else if factors[f].rows.len() != tuples.len() {
-                factors[f].rows.len() < tuples.len()
-            } else {
-                true
-            };
+            let build_on_f =
+                cost_builds_incoming(factors[f].rows.len(), f_has_ix, tuples.len(), t_has_ix);
 
             let mut out: Vec<Vec<u32>> = Vec::new();
             let mut key: Vec<Value> = Vec::with_capacity(conn.len());

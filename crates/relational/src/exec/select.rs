@@ -505,11 +505,11 @@ impl QueryCtx for DetachedScanCtx {
 /// Returns `None` (and leaves `conjuncts` untouched) whenever any gate
 /// fails; the caller then materialises the full table as before. On
 /// success the consumed conjunct is removed from `conjuncts`.
-fn fused_scan<'a>(
+fn fused_scan(
     db: &mut Database,
     source: &TableSource,
     alias: Option<&str>,
-    conjuncts: &mut Vec<&'a Expr>,
+    conjuncts: &mut Vec<&Expr>,
 ) -> Result<Option<Relation>> {
     let TableSource::Named(name) = source else {
         return Ok(None);

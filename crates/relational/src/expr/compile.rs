@@ -31,25 +31,20 @@ use crate::value::Value;
 /// (scan filters, join keys, group keys, projections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SqlExec {
-    /// Always lower expressions to compiled programs.
-    Compiled,
-    /// Always walk the `Expr` tree per row.
-    Interpreted,
-    /// Let the engine choose. Currently identical to `Compiled` at every
-    /// site; kept as the default so a future cost heuristic can slot in
-    /// without changing configuration surfaces.
+    /// Lower expressions to compiled programs (the default).
     #[default]
-    Auto,
+    Compiled,
+    /// Walk the `Expr` tree per row.
+    Interpreted,
 }
 
 impl SqlExec {
-    /// Parse a mode name (`compiled` | `interpreted` | `auto`),
+    /// Parse a mode name (`compiled` | `interpreted`),
     /// ASCII-case-insensitively.
     pub fn from_name(name: &str) -> Option<SqlExec> {
         match name.to_ascii_lowercase().as_str() {
             "compiled" => Some(SqlExec::Compiled),
             "interpreted" => Some(SqlExec::Interpreted),
-            "auto" => Some(SqlExec::Auto),
             _ => None,
         }
     }
@@ -59,13 +54,12 @@ impl SqlExec {
         match self {
             SqlExec::Compiled => "compiled",
             SqlExec::Interpreted => "interpreted",
-            SqlExec::Auto => "auto",
         }
     }
 
     /// Whether hot sites should compile under this mode.
     pub fn use_compiled(self) -> bool {
-        !matches!(self, SqlExec::Interpreted)
+        self == SqlExec::Compiled
     }
 }
 
@@ -786,7 +780,7 @@ mod tests {
 
     #[test]
     fn sqlexec_names_round_trip() {
-        for mode in [SqlExec::Compiled, SqlExec::Interpreted, SqlExec::Auto] {
+        for mode in [SqlExec::Compiled, SqlExec::Interpreted] {
             assert_eq!(SqlExec::from_name(mode.name()), Some(mode));
             assert_eq!(
                 SqlExec::from_name(&mode.name().to_ascii_uppercase()),
@@ -794,8 +788,9 @@ mod tests {
             );
         }
         assert_eq!(SqlExec::from_name("vectorized"), None);
-        assert_eq!(SqlExec::default(), SqlExec::Auto);
-        assert!(SqlExec::Auto.use_compiled());
+        assert_eq!(SqlExec::from_name("auto"), None);
+        assert_eq!(SqlExec::default(), SqlExec::Compiled);
+        assert!(SqlExec::Compiled.use_compiled());
         assert!(!SqlExec::Interpreted.use_compiled());
     }
 

@@ -33,7 +33,7 @@ pub trait QueryCtx {
     /// Engines with a user-facing knob override this; the default
     /// compiles (see [`SqlExec`]).
     fn sqlexec(&self) -> SqlExec {
-        SqlExec::Auto
+        SqlExec::Compiled
     }
     /// Which row-flow strategy the hot operators should use (row-at-a-time
     /// or column batches). Engines with a user-facing knob override this;

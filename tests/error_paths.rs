@@ -173,17 +173,21 @@ fn unknown_sqlexec_is_rejected_like_an_unknown_algorithm() {
     // value and the valid domain.
     let message = err.to_string();
     assert!(message.contains("'vectorized'"), "{message}");
-    for choice in ["compiled", "interpreted", "auto"] {
+    for choice in ["compiled", "interpreted"] {
         assert!(message.contains(choice), "{message}");
     }
     // Valid names parse regardless of ASCII case.
     for (name, mode) in [
         ("compiled", relational::SqlExec::Compiled),
         ("INTERPRETED", relational::SqlExec::Interpreted),
-        ("Auto", relational::SqlExec::Auto),
     ] {
         assert_eq!(minerule::parse_sqlexec(name).unwrap(), mode);
     }
+    // `auto` is not a mode: it gets the same typed rejection.
+    assert!(matches!(
+        minerule::parse_sqlexec("auto"),
+        Err(MineError::UnknownSqlExec { ref name }) if name == "auto"
+    ));
 }
 
 #[test]

@@ -44,11 +44,13 @@ fn figure2b_output_join_reports_its_access_path() {
         .execute(&mut db, FILTERED_ORDERED_SETS)
         .unwrap();
     // The Figure 2b decode shape: the rule table joined to its bodies.
+    // The rule table is the smaller input, so the cost planner builds
+    // its hash table (and index) there.
     let join = "SELECT r.SUPPORT, b.item FROM FilteredOrderedSets r, \
                 FilteredOrderedSets_Bodies b WHERE r.BodyId = b.BodyId";
     let p = plan(&mut db, join);
     assert!(
-        p.contains("hash join on: r.BodyId = b.BodyId [index(FilteredOrderedSets_Bodies.BodyId)]"),
+        p.contains("hash join on: r.BodyId = b.BodyId [index(FilteredOrderedSets.BodyId)]"),
         "{p}"
     );
 
@@ -58,6 +60,15 @@ fn figure2b_output_join_reports_its_access_path() {
         p.contains("hash join on: r.BodyId = b.BodyId [scan]"),
         "{p}"
     );
+
+    // Running the join builds exactly the index EXPLAIN named: dropping
+    // the rule table takes it away.
+    db.set_index_policy(IndexPolicy::Auto);
+    let before = db.live_indexes();
+    db.query(join).unwrap();
+    assert_eq!(db.live_indexes(), before + 1);
+    db.execute("DROP TABLE FilteredOrderedSets").unwrap();
+    assert_eq!(db.live_indexes(), before, "the index was on the rule table");
 }
 
 #[test]
@@ -118,4 +129,39 @@ fn fused_preprocess_plan_snapshot() {
         "DDL[1] -> DDL[1] -> Q1[1] -> Q2[2] -> Q3[5] -> Q4[6]",
         "fused preprocess plan drifted"
     );
+}
+
+#[test]
+fn cost_planner_join_reports_the_side_it_builds() {
+    // The cost planner starts from the smaller factor and builds the
+    // hash table on the smaller input, so with `u` (2 rows) first in
+    // the fold the index goes on `u.a`, not on the later factor `t`.
+    let mut db = Database::new();
+    db.execute("CREATE TABLE u (a INT)").unwrap();
+    db.execute("INSERT INTO u VALUES (1), (2)").unwrap();
+    db.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (1, 11), (2, 21), (3, 31)")
+        .unwrap();
+    assert_eq!(db.planner_mode(), PlannerMode::Cost, "cost is the default");
+    let join = "SELECT t.b FROM u, t WHERE u.a = t.a";
+    let p = plan(&mut db, join);
+    assert!(p.contains("hash join on: u.a = t.a [index(u.a)]"), "{p}");
+
+    // Running the join builds exactly the index EXPLAIN named: dropping
+    // `u` takes it away.
+    assert_eq!(db.query(join).unwrap().rows().len(), 4);
+    assert_eq!(db.live_indexes(), 1);
+    assert!(
+        plan(&mut db, join).contains("[index(u.a)]"),
+        "live index kept"
+    );
+    db.execute("DROP TABLE u").unwrap();
+    assert_eq!(db.live_indexes(), 0, "the index was on u");
+
+    // The naive planner folds left to right: the later factor builds.
+    db.execute("CREATE TABLE u (a INT)").unwrap();
+    db.execute("INSERT INTO u VALUES (1), (2)").unwrap();
+    db.set_planner(PlannerMode::Naive);
+    let p = plan(&mut db, join);
+    assert!(p.contains("hash join on: u.a = t.a [index(t.a)]"), "{p}");
 }

@@ -140,29 +140,56 @@ fn injected_skew_is_caught_and_shrinks_to_a_tiny_repro() {
 }
 
 #[test]
-fn mine_skew_is_caught_on_the_bitset_axis() {
+fn mine_skew_is_caught_on_the_workers_axis() {
+    // A runner that loses the last mined rule whenever more than one
+    // worker mines must diverge at a mine op, and the shrinker must keep
+    // the repro small.
     let opts = MatrixOptions {
-        skew: Skew::BitsetDropsLastRule,
+        skew: Skew::ParallelDropsLastRule,
         ..quick_opts("mskew")
     };
     let gen_cfg = GenConfig::default();
     for i in 0..16 {
         let case = gen_case(3, i, &gen_cfg);
         if let Err(div) = run_case(&case, &opts, &format!("mskew{i}")) {
+            let b = tcdm_fuzz::matrix::config_by_label(Matrix::Quick, &div.config).unwrap();
             assert!(
-                div.config.contains("gidset=bitset"),
-                "skew must surface on a bitset config: {}",
+                b.workers > 1,
+                "skew must surface on a multi-worker config: {}",
                 div.config
             );
             assert!(
                 matches!(case.ops.get(div.op.unwrap()), Some(Op::Mine(_))),
                 "divergence must point at a mine op"
             );
+            let a = Config::baseline();
+            let mut oracle = |c: &FuzzCase| {
+                diverges_between(
+                    c,
+                    &a,
+                    &b,
+                    Skew::ParallelDropsLastRule,
+                    &opts.work_dir,
+                    "mshrink",
+                )
+                .is_some()
+            };
+            let small = shrink(&case, &mut oracle);
+            assert!(oracle(&small), "shrunk case must still reproduce");
+            assert!(
+                small.ops.len() <= 2,
+                "shrunk case still has {} ops",
+                small.ops.len()
+            );
+            assert!(
+                diverges_between(&small, &a, &b, Skew::None, &opts.work_dir, "mshrinkc").is_none(),
+                "shrunk case must be clean without the injected skew"
+            );
             let _ = std::fs::remove_dir_all(&opts.work_dir);
             return;
         }
     }
-    panic!("bitset skew never diverged in 16 cases");
+    panic!("parallel skew never diverged in 16 cases");
 }
 
 #[test]

@@ -1,21 +1,19 @@
 //! Randomized agreement suite for the hybrid gid-set representation:
-//! for random inputs spanning the density spectrum — from sparse
-//! (`auto` stays on sorted lists) to dense (`auto` flips to bitset
-//! words) — every pool member must produce an itemset inventory
-//! *bit-identical* to the list-only run, at every worker count, and the
-//! full core operator must mine identical rule sets for every pinned
-//! representation.
+//! for random inputs spanning the density spectrum — from sparse (every
+//! set stays a sorted list) to dense (sets flip to bitset words) — every
+//! pool member must produce an itemset inventory *bit-identical* to
+//! `apriori-count`, which counts supports by subset tests and builds no
+//! gid sets at all, at every worker count; and the full core operator
+//! must mine the same rule sets.
 
-use minerule::algo::{
-    default_pool, sort_itemsets, GidSetRepr, LargeItemset, ShardExec, SimpleInput,
-};
+use minerule::algo::executor::ExecStats;
+use minerule::algo::{default_pool, sort_itemsets, LargeItemset, ShardExec, SimpleInput};
 use minerule::ast::CardSpec;
 use minerule::core_op::{run_core, CoreOptions};
 use minerule::directives::{Directives, StatementClass};
 use minerule::encoded::{EncodedData, EncodedInput};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
-const REPRS: [GidSetRepr; 3] = [GidSetRepr::List, GidSetRepr::Auto, GidSetRepr::Bitset];
 
 // The workload generator lives in the fuzz harness
 // (`tcdm_fuzz::grammar::random_simple_input`) so the differential fuzzer
@@ -47,50 +45,47 @@ fn grid() -> Vec<(SimpleInput, String)> {
 fn mine_sorted(
     miner: &dyn minerule::algo::ItemsetMiner,
     input: &SimpleInput,
-    repr: GidSetRepr,
     workers: usize,
-) -> Vec<LargeItemset> {
-    let exec = ShardExec::new(workers).with_gidset_repr(repr);
+) -> (Vec<LargeItemset>, ExecStats) {
+    let exec = ShardExec::new(workers);
     let mut got = miner.mine_sharded(input, &exec);
     sort_itemsets(&mut got);
-    got
+    (got, exec.take_stats())
 }
 
-/// Every pool member × representation × worker count agrees bit-for-bit
-/// with the list-only single-worker inventory on every grid point.
+/// Every pool member × worker count agrees bit-for-bit with the
+/// single-worker `apriori-count` inventory on every grid point, and the
+/// grid really drives the density rule down both forms.
 #[test]
 fn inventories_agree_across_representations_and_workers() {
+    let reference_miner = minerule::algo::by_name("apriori-count").unwrap();
+    let (mut list_picked, mut bitset_picked, mut mixed_runs) = (0u64, 0u64, 0usize);
     for (input, label) in grid() {
+        let (reference, _) = mine_sorted(reference_miner.as_ref(), &input, 1);
         for miner in default_pool() {
-            let reference = mine_sorted(miner.as_ref(), &input, GidSetRepr::List, 1);
-            // List at workers > 1 is already covered by the blanket
-            // parallel_agreement suite; here one high worker count pins
-            // it against the same reference. The hybrid arm gets the
-            // full worker grid; the all-bitset arm its extremes.
-            for (repr, workers_to_check) in [
-                (GidSetRepr::List, &WORKER_COUNTS[3..]),
-                (GidSetRepr::Auto, &WORKER_COUNTS[..]),
-                (
-                    GidSetRepr::Bitset,
-                    &[WORKER_COUNTS[0], WORKER_COUNTS[3]][..],
-                ),
-            ] {
-                for &workers in workers_to_check {
-                    let got = mine_sorted(miner.as_ref(), &input, repr, workers);
-                    assert_eq!(
-                        got,
-                        reference,
-                        "{label}: {} diverges at repr={repr} workers={workers}",
-                        miner.name()
-                    );
+            for workers in WORKER_COUNTS {
+                let (got, stats) = mine_sorted(miner.as_ref(), &input, workers);
+                assert_eq!(
+                    got,
+                    reference,
+                    "{label}: {} diverges from apriori-count at workers={workers}",
+                    miner.name()
+                );
+                list_picked += stats.gidset_list_picked;
+                bitset_picked += stats.gidset_bitset_picked;
+                if stats.gidset_list_picked > 0 && stats.gidset_bitset_picked > 0 {
+                    mixed_runs += 1;
                 }
             }
         }
     }
+    assert!(list_picked > 0, "no gid set took the list form");
+    assert!(bitset_picked > 0, "no gid set took the bitset form");
+    assert!(mixed_runs > 0, "no run mixed lists and bitsets");
 }
 
-/// The representation knob must never change mined rules through the
-/// full core operator either.
+/// Gid-set miners mine the same rules as `apriori-count` through the
+/// full core operator too, at every worker count.
 #[test]
 fn rule_sets_agree_across_representations_through_run_core() {
     let simple = random_simple_input(80, 30, 0.3, 77);
@@ -112,29 +107,28 @@ fn rule_sets_agree_across_representations_through_run_core() {
                 .collect(),
         },
     };
+    let run = |algorithm: &str, workers: usize| {
+        let out = run_core(
+            &input,
+            &CoreOptions {
+                algorithm: algorithm.into(),
+                workers,
+                ..CoreOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(!out.used_general);
+        out.rules
+    };
+    let reference = run("apriori-count", 1);
+    assert!(!reference.is_empty(), "the input yields rules");
     for algorithm in ["apriori", "partition", "sampling", "eclat"] {
-        let mut baseline = None;
-        for repr in REPRS {
-            for workers in [1usize, 4] {
-                let out = run_core(
-                    &input,
-                    &CoreOptions {
-                        algorithm: algorithm.into(),
-                        workers,
-                        gidset: repr,
-                        ..CoreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert!(!out.used_general);
-                match &baseline {
-                    None => baseline = Some(out.rules),
-                    Some(b) => {
-                        assert_eq!(&out.rules, b, "{algorithm} repr={repr} workers={workers}")
-                    }
-                }
-            }
+        for workers in [1usize, 4] {
+            assert_eq!(
+                run(algorithm, workers),
+                reference,
+                "{algorithm} workers={workers}"
+            );
         }
-        assert!(!baseline.unwrap().is_empty(), "{algorithm} found rules");
     }
 }

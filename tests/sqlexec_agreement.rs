@@ -1,7 +1,7 @@
 //! Compiled vs interpreted expression execution must be observationally
 //! identical: same rows, same errors, same mined rules, same
 //! preprocessing reports. The compiled path (`\set sqlexec compiled`,
-//! the default via `auto`) is a pure performance change — this suite is
+//! the default) is a pure performance change — this suite is
 //! the contract that keeps it that way.
 //!
 //! Three layers of evidence:
@@ -35,8 +35,6 @@ fn assert_modes_agree(build: fn() -> Database, sql: &str) {
     let compiled = run(build, SqlExec::Compiled, sql);
     let interpreted = run(build, SqlExec::Interpreted, sql);
     assert_eq!(compiled, interpreted, "modes disagree on: {sql}");
-    let auto = run(build, SqlExec::Auto, sql);
-    assert_eq!(auto, compiled, "auto != compiled on: {sql}");
 }
 
 /// A small table with every value class the expression language touches:
@@ -194,7 +192,7 @@ fn mining_is_bit_identical_across_modes_and_workers() {
             .with_sqlexec(SqlExec::Interpreted)
             .execute(&mut db, stmt)
             .unwrap();
-        for mode in [SqlExec::Compiled, SqlExec::Interpreted, SqlExec::Auto] {
+        for mode in [SqlExec::Compiled, SqlExec::Interpreted] {
             for workers in [1, 2, 4] {
                 let mut db = purchase_db();
                 let outcome = MineRuleEngine::new()

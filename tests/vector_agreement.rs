@@ -139,7 +139,7 @@ fn errors_surface_at_the_same_row_across_batch_boundaries() {
 
 #[test]
 fn randomized_expressions_agree_across_batches() {
-    let mut rng = Rng::seed_from_u64(0x0baced_10);
+    let mut rng = Rng::seed_from_u64(0x0bac_ed10);
     let cols = ExprCols::abcs_fixture();
     for i in 0..60 {
         let expr = gen_expr(&mut rng, 3, &cols);
@@ -151,7 +151,7 @@ fn randomized_expressions_agree_across_batches() {
 
 #[test]
 fn randomized_filters_agree_across_batches() {
-    let mut rng = Rng::seed_from_u64(0x0baced_20);
+    let mut rng = Rng::seed_from_u64(0x0bac_ed20);
     let cols = ExprCols::abcs_fixture();
     for i in 0..40 {
         let pred = gen_expr(&mut rng, 3, &cols);
