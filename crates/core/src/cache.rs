@@ -252,8 +252,11 @@ impl PreprocessCache {
             names.large_rules(),
             names.input_rules(),
         ] {
+            // The entry keeps a private copy; a hit shares it with the
+            // catalog. Sharing the statement's own rows here instead made
+            // later scans of a large source measurably slower.
             if let Ok(table) = catalog.table(&name) {
-                tables.push(table.clone());
+                tables.push(table.unshared_clone());
             }
         }
         let mut views = Vec::new();

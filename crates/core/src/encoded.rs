@@ -50,11 +50,15 @@ pub struct EncodedInput {
     pub data: EncodedData,
 }
 
+/// Per-group lists of large item identifiers, gids ascending and each
+/// list ascending: `SELECT Gid, Bid FROM CodedSource ORDER BY Gid, Bid`.
+pub type SimpleGroups = Vec<(u32, Vec<u32>)>;
+
 /// Class-specific payload.
 #[derive(Debug, Clone)]
 pub enum EncodedData {
     /// Simple rules: per-group lists of large item identifiers.
-    Simple { groups: Vec<(u32, Vec<u32>)> },
+    Simple { groups: SimpleGroups },
     /// General rules: raw tuples plus optional couples/elementary tables.
     General {
         tuples: Vec<GeneralTuple>,
@@ -63,9 +67,16 @@ pub enum EncodedData {
     },
 }
 
+/// An encoded identifier as the core holds it.
+pub(crate) fn encoded_id(id: i64) -> Result<u32> {
+    u32::try_from(id).map_err(|_| MineError::Internal {
+        message: format!("expected small non-negative id, got {id}"),
+    })
+}
+
 fn get_u32(v: &Value) -> Result<u32> {
     match v {
-        Value::Int(i) if *i >= 0 && *i <= u32::MAX as i64 => Ok(*i as u32),
+        Value::Int(i) => encoded_id(*i),
         other => Err(MineError::Internal {
             message: format!("expected small non-negative id, got {other}"),
         }),
@@ -86,11 +97,8 @@ fn col(rs: &ResultSet, name: &str) -> Result<usize> {
     })
 }
 
-/// Read the encoded input for a translation whose preprocessing has run.
-pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<EncodedInput> {
-    let dir = translation.directives;
-    let names = &translation.names;
-    let stmt = &translation.stmt;
+/// The `:totg`/`:mingroups` bindings preprocessing leaves behind.
+fn group_bindings(db: &Database) -> Result<(u32, u32)> {
     let total_groups = match db.var("totg") {
         Some(Value::Int(n)) => *n as u32,
         _ => {
@@ -107,6 +115,49 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
             })
         }
     };
+    Ok((total_groups, min_groups))
+}
+
+fn encoded_input(
+    translation: &Translation,
+    (total_groups, min_groups): (u32, u32),
+    data: EncodedData,
+) -> EncodedInput {
+    let stmt = &translation.stmt;
+    EncodedInput {
+        directives: translation.directives,
+        class: translation.class,
+        total_groups,
+        min_groups,
+        min_support: stmt.min_support,
+        min_confidence: stmt.min_confidence,
+        body_card: stmt.body.card,
+        head_card: stmt.head.card,
+        data,
+    }
+}
+
+/// The encoded input of a simple-class statement whose groups the fused
+/// preprocess pass handed over in memory: what [`read_encoded`] returns
+/// for the same run, without reading `CodedSource` back.
+pub(crate) fn handed_over(
+    db: &Database,
+    translation: &Translation,
+    groups: SimpleGroups,
+) -> Result<EncodedInput> {
+    let bindings = group_bindings(db)?;
+    Ok(encoded_input(
+        translation,
+        bindings,
+        EncodedData::Simple { groups },
+    ))
+}
+
+/// Read the encoded input for a translation whose preprocessing has run.
+pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<EncodedInput> {
+    let dir = translation.directives;
+    let names = &translation.names;
+    let bindings = group_bindings(db)?;
 
     let data = match translation.class {
         StatementClass::Simple => {
@@ -114,7 +165,7 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
                 "SELECT Gid, Bid FROM {} ORDER BY Gid, Bid",
                 names.coded_source()
             ))?;
-            let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
+            let mut groups = SimpleGroups::new();
             for row in rs.rows() {
                 let gid = get_u32(&row[0])?;
                 let bid = get_u32(&row[1])?;
@@ -222,17 +273,7 @@ pub fn read_encoded(db: &mut Database, translation: &Translation) -> Result<Enco
         }
     };
 
-    Ok(EncodedInput {
-        directives: dir,
-        class: translation.class,
-        total_groups,
-        min_groups,
-        min_support: stmt.min_support,
-        min_confidence: stmt.min_confidence,
-        body_card: stmt.body.card,
-        head_card: stmt.head.card,
-        data,
-    })
+    Ok(encoded_input(translation, bindings, data))
 }
 
 /// Decoding maps read back from `Bset`/`Hset`, used by tests and examples

@@ -222,18 +222,28 @@ impl MineResultCache {
             None => return Ok(None),
         };
         let fingerprint = PreprocessCache::fingerprint(stmt, prefix);
-        let entry = {
-            let state = inner.lock().unwrap();
-            match state.entries.iter().find(|e| e.fingerprint == fingerprint) {
-                Some(entry) => entry.clone(),
-                None => return Ok(None),
-            }
+        let mut state = inner.lock().unwrap();
+        let pos = match state
+            .entries
+            .iter()
+            .position(|e| e.fingerprint == fingerprint)
+        {
+            Some(pos) => pos,
+            None => return Ok(None),
         };
 
-        let (updated, kind) = if entry.table_versions == versions {
+        if state.entries[pos].table_versions == versions {
+            // Same snapshot: filter the cached inventory in place. Only a
+            // delta needs a private copy to patch.
+            let entry = &mut state.entries[pos];
             let new_min = min_groups_for(entry.total_groups, stmt.min_support);
             if new_min < entry.min_groups {
                 return Ok(None); // loosened support: the inventory is incomplete there
+            }
+            // The SQL preprocessor must agree on the group universe; any
+            // divergence (or a run that bypassed preprocessing) is a miss.
+            if report.total_groups != entry.total_groups {
+                return Ok(None);
             }
             let kind = if stmt.min_support == entry.capture_support
                 && stmt.min_confidence == entry.capture_confidence
@@ -242,16 +252,24 @@ impl MineResultCache {
             } else {
                 ServeKind::Refine
             };
-            (entry, kind)
-        } else {
-            match apply_delta(db, entry, translation)? {
-                Some(updated) => (updated, ServeKind::Delta),
+            let rules = match extract_rules(db, entry, translation, new_min)? {
+                Some(rules) => rules,
                 None => return Ok(None),
-            }
-        };
+            };
+            // Commit: refresh thresholds and touch LRU order.
+            entry.capture_support = stmt.min_support;
+            entry.capture_confidence = stmt.min_confidence;
+            let entry = state.entries.remove(pos);
+            state.entries.push(entry);
+            return Ok(Some(ServeOutcome { rules, kind }));
+        }
 
-        // The SQL preprocessor must agree on the group universe; any
-        // divergence (or a run that bypassed preprocessing) is a miss.
+        let entry = state.entries[pos].clone();
+        drop(state);
+        let updated = match apply_delta(db, entry, translation)? {
+            Some(updated) => updated,
+            None => return Ok(None),
+        };
         if report.total_groups != updated.total_groups {
             return Ok(None);
         }
@@ -265,14 +283,15 @@ impl MineResultCache {
         let mut committed = updated;
         committed.capture_support = stmt.min_support;
         committed.capture_confidence = stmt.min_confidence;
-        if kind == ServeKind::Delta {
-            committed.min_groups = new_min;
-            committed.bytes = approx_entry_bytes(&committed);
-        }
+        committed.min_groups = new_min;
+        committed.bytes = approx_entry_bytes(&committed);
         let mut state = inner.lock().unwrap();
         state.entries.retain(|e| e.fingerprint != fingerprint);
         state.entries.push(committed);
-        Ok(Some(ServeOutcome { rules, kind }))
+        Ok(Some(ServeOutcome {
+            rules,
+            kind: ServeKind::Delta,
+        }))
     }
 
     /// Capture a cold mine's inventory. `large` is the simple-path

@@ -48,17 +48,19 @@ pub fn load_purchase_table(db: &mut Database) -> Result<()> {
         "CREATE TABLE Purchase (tr INT, customer VARCHAR, item VARCHAR, \
          date DATE, price INT, qty INT)",
     )?;
-    let table = db.catalog_mut().table_mut("Purchase")?;
-    for &(tr, customer, item, (y, m, d), price, qty) in PURCHASE_ROWS {
-        table.insert(vec![
-            Value::Int(tr),
-            Value::Str(customer.to_string()),
-            Value::Str(item.to_string()),
-            Value::Date(Date::from_ymd(y, m, d).expect("valid paper date")),
-            Value::Int(price),
-            Value::Int(qty),
-        ])?;
-    }
+    let rows = PURCHASE_ROWS
+        .iter()
+        .map(|&(tr, customer, item, (y, m, d), price, qty)| {
+            vec![
+                Value::Int(tr),
+                Value::Str(customer.to_string()),
+                Value::Str(item.to_string()),
+                Value::Date(Date::from_ymd(y, m, d).expect("valid paper date")),
+                Value::Int(price),
+                Value::Int(qty),
+            ]
+        });
+    db.catalog_mut().table_mut("Purchase")?.insert_all(rows)?;
     Ok(())
 }
 

@@ -20,12 +20,12 @@ use relational::{
 
 use crate::cache::PreprocessCache;
 use crate::core_op::{run_core_with_telemetry, CoreOptions, CoreOutput};
-use crate::encoded::read_encoded;
+use crate::encoded::{handed_over, read_encoded, SimpleGroups};
 use crate::error::{MineError, Result};
 use crate::minecache::{MineResultCache, ServeKind};
 use crate::parser::parse_mine_rule;
 use crate::postprocess::{postprocess, read_rules, store_encoded_rules, DecodedRule};
-use crate::preprocess::{preprocess, PreprocessReport};
+use crate::preprocess::{preprocess_with_handoff, PreprocessReport};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::translator::{translate_with_prefix, Translation};
 
@@ -307,14 +307,14 @@ impl MineRuleEngine {
         self.record_translation(&translation);
 
         let span = self.telemetry.span("phase.preprocess");
-        let preprocess_report = self.run_preprocess(db, &translation)?;
+        let (preprocess_report, handoff) = self.run_preprocess(db, &translation)?;
         let preprocess_time = span.stop();
         self.record_preprocess(&preprocess_report);
 
         self.finish(
             db,
             translation,
-            preprocess_report,
+            (preprocess_report, handoff),
             translate_time,
             preprocess_time,
             sql_before,
@@ -324,24 +324,25 @@ impl MineRuleEngine {
     /// Run preprocessing through the artifact cache: a hit reinstates the
     /// cached encoded tables (no `Qi` step executes); a miss runs the
     /// full program and captures the artifacts for the next run. With the
-    /// cache disabled this is exactly [`preprocess`].
+    /// cache disabled this is exactly [`crate::preprocess::preprocess`].
+    /// A fused pass also hands over the simple-class groups it built.
     fn run_preprocess(
         &self,
         db: &mut Database,
         translation: &Translation,
-    ) -> Result<PreprocessReport> {
+    ) -> Result<(PreprocessReport, Option<SimpleGroups>)> {
         if !self.preprocache.is_enabled() {
-            return preprocess(db, translation);
+            return preprocess_with_handoff(db, translation);
         }
         if let Some(report) = self
             .preprocache
             .try_restore(db, translation, &self.table_prefix)?
         {
             self.telemetry.counter_inc("preprocess.cache.hit");
-            return Ok(report);
+            return Ok((report, None));
         }
         self.telemetry.counter_inc("preprocess.cache.miss");
-        let report = preprocess(db, translation)?;
+        let (report, handoff) = preprocess_with_handoff(db, translation)?;
         let stored = self
             .preprocache
             .store(db, translation, &self.table_prefix, &report);
@@ -351,7 +352,7 @@ impl MineRuleEngine {
         }
         self.telemetry
             .gauge_set("preprocess.cache.bytes", stored.bytes as i64);
-        Ok(report)
+        Ok((report, handoff))
     }
 
     /// Count the translation's directive classification
@@ -442,7 +443,7 @@ impl MineRuleEngine {
         self.finish(
             db,
             translation,
-            PreprocessReport::default(),
+            (PreprocessReport::default(), None),
             translate_time,
             Duration::ZERO,
             sql_before,
@@ -588,7 +589,7 @@ impl MineRuleEngine {
         &self,
         db: &mut Database,
         translation: Translation,
-        preprocess_report: PreprocessReport,
+        (preprocess_report, handoff): (PreprocessReport, Option<SimpleGroups>),
         translate_time: Duration,
         preprocess_time: Duration,
         sql_before: ExecStats,
@@ -615,7 +616,18 @@ impl MineRuleEngine {
                 if self.minecache.is_enabled() {
                     self.telemetry.counter_inc("core.minecache.miss");
                 }
-                let encoded = read_encoded(db, &translation)?;
+                // A cold fused pass handed its groups over; every other
+                // path reads them back from the encoded tables.
+                let encoded = match handoff {
+                    Some(groups) => {
+                        self.telemetry.counter_inc("core.encoded.handoff");
+                        handed_over(db, &translation, groups)?
+                    }
+                    None => {
+                        self.telemetry.counter_inc("core.encoded.read");
+                        read_encoded(db, &translation)?
+                    }
+                };
                 let CoreOutput {
                     rules,
                     used_general,

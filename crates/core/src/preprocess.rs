@@ -23,6 +23,7 @@ use relational::{
 };
 
 use crate::directives::StatementClass;
+use crate::encoded::{encoded_id, SimpleGroups};
 use crate::error::{MineError, Result};
 use crate::translator::{Step, Translation};
 
@@ -82,11 +83,24 @@ pub fn min_groups_for(total_groups: u64, min_support: f64) -> u64 {
 /// `Q0`..`Q11` — fused into one pipelined pass when the cost-based
 /// planner is active and the statement qualifies (see [`fusible`]).
 pub fn preprocess(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
+    preprocess_with_handoff(db, translation).map(|(report, _)| report)
+}
+
+/// [`preprocess`], also handing over the simple-class groups when the
+/// fused pass ran: exactly what [`crate::encoded::read_encoded`] would
+/// read back from the `CodedSource` it just built, so the core need not
+/// re-read the table. `None` after the step-by-step program.
+pub fn preprocess_with_handoff(
+    db: &mut Database,
+    translation: &Translation,
+) -> Result<(PreprocessReport, Option<SimpleGroups>)> {
     run_steps(db, &translation.cleanup, translation.stmt.min_support)?;
     if db.planner_mode() == PlannerMode::Cost && fusible(translation) {
-        return run_fused_simple(db, translation);
+        let (report, groups) = run_fused_simple(db, translation)?;
+        return Ok((report, Some(groups)));
     }
-    run_steps(db, &translation.preprocess, translation.stmt.min_support)
+    let report = run_steps(db, &translation.preprocess, translation.stmt.min_support)?;
+    Ok((report, None))
 }
 
 /// Whether the translated program qualifies for the fused pipelined pass:
@@ -106,14 +120,19 @@ pub fn fusible(translation: &Translation) -> bool {
 /// DISTINCT produce — then `ValidGroups`, `Bset` and `CodedSource` are
 /// built directly, drawing Gid/Bid from the same catalog sequences the
 /// SQL program uses. The subsumed intermediates (`ValidGroupsView`,
-/// `DistinctGroupsInBody`) never reach the catalog.
+/// `DistinctGroupsInBody`) never reach the catalog. Each table is built
+/// in one bulk insert. Alongside `CodedSource` the pass returns its rows
+/// grouped the way the core reads them (`ORDER BY Gid, Bid`).
 ///
 /// Unless the batch execution mode is pinned to `row`, the scan streams
 /// the source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`] rows —
 /// the same batches the SQL server's vectorized operators use — bumping
 /// the `relational.vector.*` counters; key order and output tables are
 /// identical either way.
-fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<PreprocessReport> {
+fn run_fused_simple(
+    db: &mut Database,
+    translation: &Translation,
+) -> Result<(PreprocessReport, SimpleGroups)> {
     let stmt = &translation.stmt;
     let names = &translation.names;
     let mut report = PreprocessReport::default();
@@ -236,7 +255,8 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
     }
     let mut valid_groups = Table::new(names.valid_groups(), Schema::new(columns));
     let mut gids: Vec<i64> = Vec::with_capacity(group_order.len());
-    for key in &group_order {
+    let mut rows = Vec::with_capacity(group_order.len());
+    for key in group_order {
         let gid = db
             .catalog_mut()
             .sequence_mut(&names.gid_sequence())?
@@ -244,11 +264,12 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         gids.push(gid);
         let mut row = Vec::with_capacity(key.len() + 1);
         row.push(Value::Int(gid));
-        row.extend(key.iter().cloned());
-        valid_groups
-            .insert(row)
-            .map_err(|e| annotate_fused(e, "Q2"))?;
+        row.extend(key);
+        rows.push(row);
     }
+    valid_groups
+        .insert_all(rows)
+        .map_err(|e| annotate_fused(e, "Q2"))?;
     report
         .executed
         .push(("Q2".to_string(), valid_groups.row_count().max(1)));
@@ -266,7 +287,8 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
     columns.push(Column::new("ngroups", DataType::Int));
     let mut bset = Table::new(names.bset(), Schema::new(columns));
     let mut bids: Vec<Option<i64>> = vec![None; body_order.len()];
-    for (slot, key) in body_order.iter().enumerate() {
+    let mut rows = Vec::new();
+    for (slot, key) in body_order.into_iter().enumerate() {
         let ngroups = body_groups[slot].len() as u64;
         if ngroups < min_groups {
             continue;
@@ -278,10 +300,11 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         bids[slot] = Some(bid);
         let mut row = Vec::with_capacity(key.len() + 2);
         row.push(Value::Int(bid));
-        row.extend(key.iter().cloned());
+        row.extend(key);
         row.push(Value::Int(ngroups as i64));
-        bset.insert(row).map_err(|e| annotate_fused(e, "Q3"))?;
+        rows.push(row);
     }
+    bset.insert_all(rows).map_err(|e| annotate_fused(e, "Q3"))?;
     report
         .executed
         .push(("Q3".to_string(), bset.row_count().max(1)));
@@ -292,12 +315,15 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
     // Q4: CodedSource — the source-scan join replayed from the recorded
     // slots: source row order, each row matching at most one group and
     // one large body, DISTINCT keeping the first (Gid, Bid) occurrence.
+    // The same pairs collect per group slot for the hand-off.
     let schema = Schema::new(vec![
         Column::new("Gid", DataType::Int),
         Column::new("Bid", DataType::Int),
     ]);
     let mut coded = Table::new(names.coded_source(), schema);
     let mut seen: std::collections::HashSet<(i64, i64)> = std::collections::HashSet::new();
+    let mut rows = Vec::new();
+    let mut group_bids: Vec<Vec<u32>> = vec![Vec::new(); gids.len()];
     for &(g_slot, b_slot, joinable) in &row_slots {
         if !joinable {
             continue;
@@ -305,12 +331,14 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         if let Some(bid) = bids[b_slot] {
             let gid = gids[g_slot];
             if seen.insert((gid, bid)) {
-                coded
-                    .insert(vec![Value::Int(gid), Value::Int(bid)])
-                    .map_err(|e| annotate_fused(e, "Q4"))?;
+                rows.push(vec![Value::Int(gid), Value::Int(bid)]);
+                group_bids[g_slot].push(encoded_id(bid)?);
             }
         }
     }
+    coded
+        .insert_all(rows)
+        .map_err(|e| annotate_fused(e, "Q4"))?;
     report
         .executed
         .push(("Q4".to_string(), coded.row_count().max(1)));
@@ -318,10 +346,23 @@ fn run_fused_simple(db: &mut Database, translation: &Translation) -> Result<Prep
         .create_table(coded)
         .map_err(|e| annotate_fused(e, "Q4"))?;
 
+    // The hand-off: gids ascending, each group's bids ascending (`seen`
+    // already deduplicated them), groups without a large body omitted.
+    let mut groups = Vec::with_capacity(gids.len());
+    for (bids, gid) in group_bids.into_iter().zip(gids) {
+        if !bids.is_empty() {
+            groups.push((encoded_id(gid)?, bids));
+        }
+    }
+    groups.sort_unstable_by_key(|&(gid, _)| gid);
+    for (_, bids) in &mut groups {
+        bids.sort_unstable();
+    }
+
     // Six SQL statements subsumed: Q1, the Q2 view + table, Q3's two
     // statements and Q4.
     report.fused_steps = 6;
-    Ok(report)
+    Ok((report, groups))
 }
 
 fn annotate_fused(e: relational::Error, id: &str) -> MineError {

@@ -152,17 +152,17 @@ impl RetailData {
             "CREATE TABLE {name} (tr INT, customer VARCHAR, item VARCHAR, \
              date DATE, price INT, qty INT)"
         ))?;
-        let table = db.catalog_mut().table_mut(name)?;
-        for r in &self.rows {
-            table.insert(vec![
+        let rows = self.rows.iter().map(|r| {
+            vec![
                 Value::Int(r.tr),
                 Value::Str(r.customer.clone()),
                 Value::Str(r.item.clone()),
                 Value::Date(r.date),
                 Value::Int(r.price),
                 Value::Int(r.qty),
-            ])?;
-        }
+            ]
+        });
+        db.catalog_mut().table_mut(name)?.insert_all(rows)?;
         Ok(())
     }
 }

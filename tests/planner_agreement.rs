@@ -7,8 +7,10 @@
 //! incremental upkeep across INSERT/UPDATE/DELETE/TRUNCATE, version
 //! stamping, and survival of a persist/reload cycle.
 
+use minerule::encoded::{read_encoded, EncodedData};
 use minerule::paper_example::purchase_db;
-use minerule::MineRuleEngine;
+use minerule::preprocess::preprocess_with_handoff;
+use minerule::{parse_mine_rule, translate, MineRuleEngine};
 use relational::{persist, Database, PlannerMode, SqlExec, Value};
 use tcdm_fuzz::grammar::{gen_case, GenConfig};
 use tcdm_fuzz::matrix::{diverges_between, Config, Skew};
@@ -129,6 +131,125 @@ fn general_class_statements_never_fuse() {
     assert_eq!(cost_fused, 0, "G directive must disable fusion");
     assert_eq!(naive_fused, 0);
     assert_eq!(cost_rules, naive_rules);
+}
+
+// ---------------------------------------------------------------------
+// The fused pass's in-memory hand-off to the core
+// ---------------------------------------------------------------------
+
+/// A basket table with NULLs in every column, loaded in one INSERT.
+fn null_baskets() -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE Baskets (cust VARCHAR, region VARCHAR, item VARCHAR, color VARCHAR)")
+        .unwrap();
+    let text = |v: Option<String>| v.map_or("NULL".to_string(), |s| format!("'{s}'"));
+    let rows: Vec<String> = (0..240usize)
+        .map(|i| {
+            format!(
+                "({}, {}, {}, {})",
+                text((i % 17 != 0).then(|| format!("c{}", i * 7 % 23))),
+                text((i % 11 != 0).then(|| format!("r{}", i % 3))),
+                text((i % 13 != 0).then(|| format!("i{}", (i * i + 3) % 19))),
+                text((i % 29 != 0).then(|| format!("k{}", i % 4))),
+            )
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO Baskets VALUES {}", rows.join(", ")))
+        .unwrap();
+    db
+}
+
+#[test]
+fn fused_handoff_equals_the_coded_source_read_back() {
+    // The groups the fused pass hands the core must be exactly what
+    // `SELECT Gid, Bid FROM CodedSource ORDER BY Gid, Bid` reads back:
+    // NULL group and item keys, multi-attribute schemas, bodies below
+    // the threshold and a statement with no large item included.
+    let cases = [
+        ("item AS BODY, 1..1 item AS HEAD", "cust", "0.1"),
+        (
+            "item, color AS BODY, 1..1 item, color AS HEAD",
+            "cust, region",
+            "0.05",
+        ),
+        ("item AS BODY, 1..1 item AS HEAD", "cust", "0.7"),
+        (
+            "item, color AS BODY, 1..1 item, color AS HEAD",
+            "cust",
+            "1.0",
+        ),
+    ];
+    for (schemas, group_by, support) in cases {
+        let text = format!(
+            "MINE RULE R AS SELECT DISTINCT 1..n {schemas}, SUPPORT, CONFIDENCE \
+             FROM Baskets GROUP BY {group_by} \
+             EXTRACTING RULES WITH SUPPORT: {support}, CONFIDENCE: 0.2"
+        );
+        let mut db = null_baskets();
+        let translation = translate(&parse_mine_rule(&text).unwrap(), db.catalog()).unwrap();
+        let (report, handoff) = preprocess_with_handoff(&mut db, &translation).unwrap();
+        assert_eq!(report.fused_steps, 6, "{text}");
+        let handoff = handoff.expect("the fused pass hands its groups over");
+        let EncodedData::Simple { groups } = read_encoded(&mut db, &translation).unwrap().data
+        else {
+            panic!("simple statement read a general encoding");
+        };
+        assert_eq!(handoff, groups, "{text}");
+        let mut rows = |sql: &str| db.query(sql).unwrap().len();
+        let large = rows("SELECT Bid FROM Bset");
+        let items = rows("SELECT DISTINCT item FROM Baskets WHERE item IS NOT NULL");
+        match support {
+            "1.0" => assert!(groups.is_empty(), "no item is in every group"),
+            "0.7" => {
+                assert!(!groups.is_empty());
+                assert!(large < items, "some bodies fall below the threshold");
+            }
+            _ => assert!(!groups.is_empty()),
+        }
+    }
+}
+
+#[test]
+fn only_a_cold_fused_run_hands_groups_over() {
+    // `core.encoded.handoff` counts runs whose core took the fused pass's
+    // groups; `core.encoded.read` counts runs that read `CodedSource`.
+    // Both are worker-invariant.
+    for workers in [1usize, 3] {
+        let counts = |engine: &MineRuleEngine| {
+            let s = engine.metrics_snapshot();
+            engine.reset_metrics();
+            (
+                s.counter("core.encoded.handoff"),
+                s.counter("core.encoded.read"),
+            )
+        };
+        let mut db = purchase_db();
+        let engine = MineRuleEngine::new()
+            .with_workers(workers)
+            .with_minecache(false);
+        let cold = engine.execute(&mut db, SIMPLE).unwrap();
+        assert_eq!(counts(&engine), (1, 0), "cold fused run, workers {workers}");
+        let hit = engine.execute(&mut db, SIMPLE).unwrap();
+        assert_eq!(
+            engine.metrics_snapshot().counter("preprocess.cache.hit"),
+            1,
+            "the rerun restores the cached tables"
+        );
+        assert_eq!(counts(&engine), (0, 1), "preprocess cache hit");
+        assert_eq!(cold.rules, hit.rules);
+        engine
+            .execute_reusing_preprocessing(&mut db, SIMPLE)
+            .unwrap();
+        assert_eq!(counts(&engine), (0, 1), "reused preprocessing");
+
+        let mut db = purchase_db();
+        let naive = MineRuleEngine::new()
+            .with_workers(workers)
+            .with_planner(PlannerMode::Naive);
+        let stepwise = naive.execute(&mut db, SIMPLE).unwrap();
+        assert_eq!(counts(&naive), (0, 1), "step-by-step program");
+        assert_eq!(stepwise.rules, cold.rules);
+    }
 }
 
 // ---------------------------------------------------------------------

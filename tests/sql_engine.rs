@@ -224,3 +224,49 @@ fn update_and_delete_with_subqueries() {
         Some(&Value::Int(1))
     );
 }
+
+#[test]
+fn failing_multi_row_insert_leaves_the_table_untouched() {
+    // A bad row anywhere in a multi-row INSERT rejects the whole
+    // statement: no row of it lands and the table keeps its version, on
+    // the in-memory and the paged backend alike.
+    let dir = std::env::temp_dir().join(format!("tcdm_sql_atomic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for paged in [false, true] {
+        let mut d = if paged {
+            Database::open_paged(&dir).unwrap()
+        } else {
+            Database::new()
+        };
+        d.execute("CREATE TABLE t (a INT, b VARCHAR)").unwrap();
+        d.execute("INSERT INTO t VALUES (0, 'w')").unwrap();
+        let snapshot = |d: &Database| {
+            let table = d.catalog().table("t").unwrap();
+            (table.rows().to_vec(), table.version())
+        };
+        let before = snapshot(&d);
+        for sql in [
+            "INSERT INTO t VALUES (1, 'x'), (2, 'y'), ('bad', 'z')",
+            "INSERT INTO t SELECT a, b FROM t UNION ALL SELECT b, b FROM t",
+            "INSERT INTO t (b, a) VALUES ('x', 1), ('y', 'bad')",
+        ] {
+            assert!(d.execute(sql).is_err(), "{sql} must fail");
+            assert_eq!(snapshot(&d), before, "{sql} left a trace (paged: {paged})");
+        }
+        // CREATE TABLE AS never registers a half-filled table.
+        assert!(d
+            .execute("CREATE TABLE c AS SELECT a FROM t UNION ALL SELECT b FROM t")
+            .is_err());
+        assert!(!d.catalog().has_table("c"), "paged: {paged}");
+        assert_eq!(snapshot(&d), before);
+        if paged {
+            // The next commit mirrors no stray row to disk either.
+            d.execute("CREATE TABLE marker (a INT)").unwrap();
+            drop(d);
+            let mut reopened = Database::open_paged(&dir).unwrap();
+            let rs = reopened.query("SELECT a, b FROM t").unwrap();
+            assert_eq!(rs.rows(), &before.0[..]);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
