@@ -85,6 +85,14 @@ impl GidSet {
             }
         }
     }
+
+    /// The gids in ascending order, consuming the set (a list moves out).
+    pub fn into_sorted_list(self) -> Vec<u32> {
+        match self {
+            GidSet::List(l) => l,
+            bits => bits.to_sorted_list(),
+        }
+    }
 }
 
 /// Append the set bit positions of `words` to `out`, ascending.

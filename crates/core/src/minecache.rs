@@ -25,32 +25,48 @@
 //!   *become* frequent must occur in at least
 //!   `min_groups' − min_groups + 1` of the grown/new groups, so only the
 //!   small delta is mined for candidates, which are then verified with
-//!   exact counts. A delta beyond the row budget (or crossing an
-//!   UPDATE/TRUNCATE, which the table log does not replay) falls back to
-//!   a full mine.
+//!   exact counts. An UPDATE replays as the delete+insert pair the table
+//!   log records; a delta beyond the row budget (or crossing a TRUNCATE,
+//!   which the log does not replay) falls back to a full mine.
 //!
-//! The cache works in *value space* (type-tagged renderings of the
-//! grouping and item attributes), so entries survive re-encoding: a warm
-//! serve maps items onto the current `Bset` identifiers right before
-//! rule generation, and the pipeline still stores and decodes output
-//! tables exactly as a cold run would. Entries are restricted to
-//! statements whose grouping the cache can replay from raw rows —
-//! simple class, a single FROM table, no source or group condition
-//! (the same shape the fused preprocess pass accepts); everything else
-//! simply misses. Staleness is ruled out by the same per-table version
-//! stamps the preprocess cache uses.
+//! An entry lives in *integer id space*. The grouped source is one slot
+//! per group holding its `(item id, row count)` pairs, next to two
+//! dictionaries from raw attribute values to ids — group key → slot and
+//! body key → item id — keyed by `Vec<Value>` under the same `Value`
+//! equality the fused pass and SQL `GROUP BY` use. Frequent itemsets are
+//! sorted item ids with the sorted slot ids of the groups containing
+//! them. Item ids do not depend on a run's `Bid`s, so entries survive
+//! re-encoding: a serve looks each current `Bset` row up in the item
+//! dictionary right before rule generation, and the pipeline still
+//! stores and decodes output tables exactly as a cold run would. No
+//! value is ever rendered to a string.
+//!
+//! A cold fused run hands its slots ([`SourceSlots`]) to the capture, so
+//! the source is scanned once; every other capture runs the same
+//! `preprocess::scan_slots` and reads `Bset`. The capture builds
+//! gid sets level by level with the miner's hybrid list/bitset sets and
+//! checks each against the mined count. Entries are restricted to
+//! statements whose grouping the cache can replay from raw rows — simple
+//! class, a single FROM table, no source or group condition (the shape
+//! the fused preprocess pass accepts); everything else simply misses.
+//! Staleness is ruled out by the same per-table version stamps the
+//! preprocess cache uses.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use relational::{Database, TableDelta, Value};
+use relational::{Database, ResultSet, TableDelta, Value};
 
+use crate::algo::gidset::{GidSet, GidSetCounters, GidSetCtx};
+use crate::algo::itemset::intersect_into;
 use crate::algo::{rules_from_itemsets_counted, sort_rules, EncodedRule, LargeItemset};
 use crate::ast::MineRuleStatement;
 use crate::cache::{source_versions, PreprocessCache, StoreOutcome};
 use crate::directives::StatementClass;
+use crate::encoded::encoded_id;
 use crate::error::Result;
-use crate::preprocess::{min_groups_for, PreprocessReport};
+use crate::preprocess::{joinable, min_groups_for, scan_slots, PreprocessReport, SourceSlots};
 use crate::translator::Translation;
 
 /// Most-recently-used mined-result sets kept; older entries are evicted.
@@ -64,40 +80,48 @@ const BUDGET_MIN_ROWS: usize = 64;
 /// delta-frequent itemsets aborts incremental re-mining (full mine).
 const MAX_DELTA_CANDIDATES: usize = 4096;
 
-/// A group slot: the group's key plus a multiset of its item renderings
-/// (values are row multiplicities — an item belongs to the group while
-/// its count is positive, matching the preprocessor's DISTINCT).
-#[derive(Debug, Clone)]
-struct GroupSlot {
-    key: String,
-    items: BTreeMap<String, u32>,
+/// The item id of a row that cannot join in `Q4` (a NULL in its group or
+/// body key): the row keeps its group live and is replayed like any
+/// other, but it is never an item of the group.
+const NO_ITEM: u32 = u32::MAX;
+
+/// A group's `(item id, row count)` pairs, ascending by item id. Counts
+/// are positive (a pair whose count reaches 0 is removed), so an item
+/// belongs to the group while it has a pair, matching the preprocessor's
+/// DISTINCT.
+type GroupSlot = Vec<(u32, u32)>;
+
+fn row_count(slot: &GroupSlot) -> u64 {
+    slot.iter().map(|&(_, count)| count as u64).sum()
 }
 
-impl GroupSlot {
-    fn row_count(&self) -> u64 {
-        self.items.values().map(|&c| c as u64).sum()
-    }
-
-    fn item_set(&self) -> HashSet<&str> {
-        self.items
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, _)| k.as_str())
-            .collect()
-    }
+/// The group's items, ascending.
+fn items_of(slot: &GroupSlot) -> impl Iterator<Item = u32> + '_ {
+    slot.iter()
+        .map(|&(item, _)| item)
+        .filter(|&item| item != NO_ITEM)
 }
 
-/// A cached frequent itemset: value-space items (sorted) plus the sorted
-/// slot ids of every group containing it. The exact group-support is
+fn has_item(slot: &GroupSlot, item: u32) -> bool {
+    slot.binary_search_by_key(&item, |&(i, _)| i).is_ok()
+}
+
+/// The inventory order: by length, then item ids.
+fn by_len_then_items(a: &[u32], b: &[u32]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// A cached frequent itemset: sorted item ids plus the sorted slot ids
+/// of every group containing it. The exact group-support is
 /// `gids.len()`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CachedItemset {
-    items: Vec<String>,
+    items: Vec<u32>,
     gids: Vec<u32>,
 }
 
 /// One cached mined result with its validity conditions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct MineEntry {
     fingerprint: String,
     /// `(lowercase table name, version)` of the FROM table at capture.
@@ -109,10 +133,14 @@ struct MineEntry {
     capture_confidence: f64,
     /// Live groups (`:totg` of the cached snapshot).
     total_groups: u64,
-    /// Group slots; `None` marks a deleted group (its id is retired).
+    /// Group slots; `None` marks a retired (emptied) group.
     slots: Vec<Option<GroupSlot>>,
-    /// Group key → slot id.
-    index: HashMap<String, u32>,
+    /// Group key → slot id. A retired group keeps its slot id, and an
+    /// insert under its key revives it there.
+    groups: HashMap<Vec<Value>, u32>,
+    /// Body key → item id; ids are dense from 0.
+    items: HashMap<Vec<Value>, u32>,
+    /// Frequent itemsets in [`by_len_then_items`] order.
     inventory: Vec<CachedItemset>,
     bytes: u64,
 }
@@ -121,6 +149,18 @@ struct MineEntry {
 struct CacheState {
     /// LRU order: least-recently used first.
     entries: Vec<MineEntry>,
+}
+
+/// Lock the store. A panic while the lock was held may have left an
+/// entry half updated, so a poisoned store is emptied and unpoisoned:
+/// lookups miss and the next cold mine captures afresh.
+fn lock(inner: &Mutex<CacheState>) -> MutexGuard<'_, CacheState> {
+    inner.lock().unwrap_or_else(|poisoned| {
+        inner.clear_poison();
+        let mut state = poisoned.into_inner();
+        state.entries.clear();
+        state
+    })
 }
 
 /// How a warm serve was produced, for telemetry.
@@ -132,6 +172,15 @@ pub enum ServeKind {
     Refine,
     /// Source delta replayed: answered by incremental re-mining.
     Delta,
+}
+
+/// Where a capture's grouped source came from, for telemetry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CaptureSource {
+    /// The fused pass's slots, handed over: no second source scan.
+    Handoff,
+    /// The capture's own scan of the source.
+    Scan,
 }
 
 /// A warm answer: encoded rules bit-identical to what a cold core run
@@ -177,7 +226,7 @@ impl MineResultCache {
     /// Number of retained mined-result sets.
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.lock().unwrap().entries.len(),
+            Some(inner) => lock(inner).entries.len(),
             None => 0,
         }
     }
@@ -222,7 +271,7 @@ impl MineResultCache {
             None => return Ok(None),
         };
         let fingerprint = PreprocessCache::fingerprint(stmt, prefix);
-        let mut state = inner.lock().unwrap();
+        let mut state = lock(inner);
         let pos = match state
             .entries
             .iter()
@@ -233,8 +282,7 @@ impl MineResultCache {
         };
 
         if state.entries[pos].table_versions == versions {
-            // Same snapshot: filter the cached inventory in place. Only a
-            // delta needs a private copy to patch.
+            // Same snapshot: filter the cached inventory in place.
             let entry = &mut state.entries[pos];
             let new_min = min_groups_for(entry.total_groups, stmt.min_support);
             if new_min < entry.min_groups {
@@ -264,7 +312,10 @@ impl MineResultCache {
             return Ok(Some(ServeOutcome { rules, kind }));
         }
 
-        let entry = state.entries[pos].clone();
+        // A delta patches the entry: take it out of the store rather than
+        // copy it. A replay that fails leaves it out, and the full mine
+        // that follows captures afresh.
+        let entry = state.entries.remove(pos);
         drop(state);
         let updated = match apply_delta(db, entry, translation)? {
             Some(updated) => updated,
@@ -285,7 +336,7 @@ impl MineResultCache {
         committed.capture_confidence = stmt.min_confidence;
         committed.min_groups = new_min;
         committed.bytes = approx_entry_bytes(&committed);
-        let mut state = inner.lock().unwrap();
+        let mut state = lock(inner);
         state.entries.retain(|e| e.fingerprint != fingerprint);
         state.entries.push(committed);
         Ok(Some(ServeOutcome {
@@ -297,9 +348,13 @@ impl MineResultCache {
     /// Capture a cold mine's inventory. `large` is the simple-path
     /// large-itemset inventory the core operator just produced. A
     /// same-fingerprint entry is replaced; beyond the 8-entry capacity
-    /// the least-recently-used entry is evicted. Statements the cache cannot
-    /// replay (or whose value-space accounting disagrees with the SQL
-    /// preprocessor — never observed, but checked) are skipped.
+    /// the least-recently-used entry is evicted. Statements the cache
+    /// cannot replay (or whose grouping disagrees with the SQL
+    /// preprocessor — never observed, but checked) are skipped. The
+    /// source is scanned here; [`MineRuleEngine`] hands a fused pass's
+    /// slots over instead.
+    ///
+    /// [`MineRuleEngine`]: crate::pipeline::MineRuleEngine
     pub fn store(
         &self,
         db: &mut Database,
@@ -308,89 +363,97 @@ impl MineResultCache {
         report: &PreprocessReport,
         large: &[LargeItemset],
     ) -> StoreOutcome {
+        self.capture(db, translation, prefix, report, large, None).0
+    }
+
+    /// [`MineResultCache::store`] taking the fused pass's slots when it
+    /// ran (`handed`, which must come from this run's preprocessing), and
+    /// saying where the captured grouping came from (`None`: nothing was
+    /// captured).
+    pub(crate) fn capture(
+        &self,
+        db: &mut Database,
+        translation: &Translation,
+        prefix: &str,
+        report: &PreprocessReport,
+        large: &[LargeItemset],
+        handed: Option<SourceSlots>,
+    ) -> (StoreOutcome, Option<CaptureSource>) {
         let inner = match &self.inner {
-            Some(inner) => inner.clone(),
-            None => return StoreOutcome::default(),
+            Some(inner) => inner,
+            None => return (StoreOutcome::default(), None),
         };
+        let captured = capture_entry(db, translation, prefix, report, large, handed);
+        let mut state = lock(inner);
+        let mut evicted = 0;
+        let source = captured.map(|(entry, source)| {
+            state.entries.retain(|e| e.fingerprint != entry.fingerprint);
+            state.entries.push(entry);
+            while state.entries.len() > MAX_ENTRIES {
+                state.entries.remove(0);
+                evicted += 1;
+            }
+            source
+        });
         // Skipped stores still report the retained total, so the bytes
         // gauge never zeroes out under an uncacheable statement.
-        let retained = |inner: &Arc<Mutex<CacheState>>| StoreOutcome {
-            evicted: 0,
-            bytes: inner.lock().unwrap().entries.iter().map(|e| e.bytes).sum(),
-        };
-        if !Self::eligible(translation) || report.total_groups == 0 {
-            return retained(&inner);
-        }
-        let stmt = &translation.stmt;
-        let versions = match source_versions(db, stmt) {
-            Some(v) => v,
-            None => return retained(&inner),
-        };
-        let (slots, index) = match scan_source(db, stmt) {
-            Some(v) => v,
-            None => return retained(&inner),
-        };
-        if slots.len() as u64 != report.total_groups {
-            return retained(&inner);
-        }
-        let bid_items = match read_bid_items(db, translation) {
-            Some(map) => map,
-            None => return retained(&inner),
-        };
-        let inventory = match build_inventory(large, &bid_items, &slots) {
-            Some(inv) => inv,
-            None => return retained(&inner),
-        };
-        let mut entry = MineEntry {
-            fingerprint: PreprocessCache::fingerprint(stmt, prefix),
-            table_versions: versions,
-            min_groups: report.min_groups,
-            capture_support: stmt.min_support,
-            capture_confidence: stmt.min_confidence,
-            total_groups: report.total_groups,
-            slots,
-            index,
-            inventory,
-            bytes: 0,
-        };
-        entry.bytes = approx_entry_bytes(&entry);
-
-        let mut state = inner.lock().unwrap();
-        state.entries.retain(|e| e.fingerprint != entry.fingerprint);
-        state.entries.push(entry);
-        let mut evicted = 0;
-        while state.entries.len() > MAX_ENTRIES {
-            state.entries.remove(0);
-            evicted += 1;
-        }
-        StoreOutcome {
-            evicted,
-            bytes: state.entries.iter().map(|e| e.bytes).sum(),
-        }
+        let bytes = state.entries.iter().map(|e| e.bytes).sum();
+        (StoreOutcome { evicted, bytes }, source)
     }
 }
 
-/// A collision-free rendering of one value: type-tagged so `1`, `'1'`
-/// and `1.0` never alias (floats render by bit pattern).
-fn value_key(v: &Value) -> String {
-    match v {
-        Value::Null => "n:".into(),
-        Value::Int(i) => format!("i:{i}"),
-        Value::Float(f) => format!("f:{:016x}", f.to_bits()),
-        Value::Str(s) => format!("s:{s}"),
-        Value::Bool(b) => format!("b:{b}"),
-        Value::Date(d) => format!("d:{d}"),
+/// The entry a cold mine leaves behind, or `None` when the statement is
+/// not replayable or a check fails.
+fn capture_entry(
+    db: &mut Database,
+    translation: &Translation,
+    prefix: &str,
+    report: &PreprocessReport,
+    large: &[LargeItemset],
+    handed: Option<SourceSlots>,
+) -> Option<(MineEntry, CaptureSource)> {
+    if !MineResultCache::eligible(translation) || report.total_groups == 0 {
+        return None;
     }
-}
-
-/// Join multi-attribute keys with a separator no rendering contains
-/// naturally (unit separator).
-fn compound_key(values: &[&Value]) -> String {
-    values
-        .iter()
-        .map(|v| value_key(v))
-        .collect::<Vec<_>>()
-        .join("\u{1f}")
+    let stmt = &translation.stmt;
+    let table_versions = source_versions(db, stmt)?;
+    let (slots, source) = match handed {
+        Some(slots) => (slots, CaptureSource::Handoff),
+        None => (scan_source(db, translation)?, CaptureSource::Scan),
+    };
+    let SourceSlots {
+        groups,
+        bodies,
+        rows,
+        bids,
+    } = slots;
+    if groups.len() as u64 != report.total_groups {
+        return None;
+    }
+    let group_slots = fold_rows(groups.len(), &rows);
+    // A body slot is an item id: invert the slot → Bid map.
+    let mut bid_items = HashMap::with_capacity(bids.len());
+    for (item, bid) in bids.iter().enumerate() {
+        if let Some(bid) = bid {
+            bid_items.insert(encoded_id(*bid).ok()?, item as u32);
+        }
+    }
+    let inventory = build_inventory(large, &bid_items, &group_slots, bodies.len())?;
+    let mut entry = MineEntry {
+        fingerprint: PreprocessCache::fingerprint(stmt, prefix),
+        table_versions,
+        min_groups: report.min_groups,
+        capture_support: stmt.min_support,
+        capture_confidence: stmt.min_confidence,
+        total_groups: report.total_groups,
+        slots: group_slots,
+        groups,
+        items: bodies,
+        inventory,
+        bytes: 0,
+    };
+    entry.bytes = approx_entry_bytes(&entry);
+    Some((entry, source))
 }
 
 /// Resolve the statement's grouping and item (body-schema) columns on the
@@ -404,135 +467,163 @@ fn resolve_columns(db: &Database, stmt: &MineRuleStatement) -> Option<(Vec<usize
     Some((resolve(&stmt.group_by)?, resolve(&stmt.body.schema)?))
 }
 
-/// Key a row's grouping attributes / item attributes.
-fn row_keys(row: &[Value], group_cols: &[usize], item_cols: &[usize]) -> (String, String) {
-    let gvals: Vec<&Value> = group_cols.iter().map(|&i| &row[i]).collect();
-    let ivals: Vec<&Value> = item_cols.iter().map(|&i| &row[i]).collect();
-    (compound_key(&gvals), compound_key(&ivals))
-}
-
-/// Build the value-space group map from the raw source rows.
-#[allow(clippy::type_complexity)]
-fn scan_source(
-    db: &Database,
-    stmt: &MineRuleStatement,
-) -> Option<(Vec<Option<GroupSlot>>, HashMap<String, u32>)> {
+/// The capture's own scan, when no fused pass handed its slots over: the
+/// fused pass's slot assignment over the source, with each body slot's
+/// `Bid` looked up from `Bset`.
+fn scan_source(db: &mut Database, translation: &Translation) -> Option<SourceSlots> {
+    let stmt = &translation.stmt;
     let (group_cols, item_cols) = resolve_columns(db, stmt)?;
     let table = db.catalog().table(&stmt.from[0].name).ok()?;
-    let mut slots: Vec<Option<GroupSlot>> = Vec::new();
-    let mut index: HashMap<String, u32> = HashMap::new();
-    for row in table.rows() {
-        let (gkey, ikey) = row_keys(row, &group_cols, &item_cols);
-        let slot = match index.get(&gkey) {
-            Some(&s) => s,
-            None => {
-                let s = slots.len() as u32;
-                slots.push(Some(GroupSlot {
-                    key: gkey.clone(),
-                    items: BTreeMap::new(),
-                }));
-                index.insert(gkey, s);
-                s
+    let mut slots = scan_slots(table.rows(), &group_cols, &item_cols, false).slots;
+    slots.bids = vec![None; slots.bodies.len()];
+    for row in read_bset(db, translation)?.rows() {
+        let &item = slots.bodies.get(&row[1..])?;
+        slots.bids[item as usize] = Some(bid_of(row)?);
+    }
+    Some(slots)
+}
+
+/// `SELECT Bid, <body schema> FROM Bset`: each row's body key is
+/// `row[1..]`.
+fn read_bset(db: &mut Database, translation: &Translation) -> Option<ResultSet> {
+    db.query(&format!(
+        "SELECT Bid, {} FROM {}",
+        translation.stmt.body.schema.join(", "),
+        translation.names.bset()
+    ))
+    .ok()
+}
+
+fn bid_of(row: &[Value]) -> Option<i64> {
+    match row.first() {
+        Some(Value::Int(bid)) => Some(*bid),
+        _ => None,
+    }
+}
+
+/// Fold the per-row slots into each group's `(item id, row count)`
+/// pairs: bucket the rows' items by group, then sort and run-length
+/// encode each bucket. Non-joinable rows count under [`NO_ITEM`].
+fn fold_rows(n_groups: usize, rows: &[(u32, u32, bool)]) -> Vec<Option<GroupSlot>> {
+    let mut start = vec![0usize; n_groups + 1];
+    for &(group, _, _) in rows {
+        start[group as usize + 1] += 1;
+    }
+    for g in 0..n_groups {
+        start[g + 1] += start[g];
+    }
+    let mut next = start.clone();
+    let mut flat = vec![0u32; rows.len()];
+    for &(group, body, joinable) in rows {
+        let at = &mut next[group as usize];
+        flat[*at] = if joinable { body } else { NO_ITEM };
+        *at += 1;
+    }
+    start
+        .windows(2)
+        .map(|bounds| {
+            let bucket = &mut flat[bounds[0]..bounds[1]];
+            bucket.sort_unstable();
+            let mut slot: GroupSlot = Vec::new();
+            for &item in bucket.iter() {
+                match slot.last_mut() {
+                    Some((last, count)) if *last == item => *count += 1,
+                    _ => slot.push((item, 1)),
+                }
             }
-        };
-        *slots[slot as usize]
-            .as_mut()
-            .unwrap()
-            .items
-            .entry(ikey)
-            .or_insert(0) += 1;
-    }
-    Some((slots, index))
+            Some(slot)
+        })
+        .collect()
 }
 
-/// Read `Bid → item key` from the statement's `Bset` table.
-fn read_bid_items(db: &mut Database, translation: &Translation) -> Option<HashMap<u32, String>> {
-    let rs = db
-        .query(&format!(
-            "SELECT Bid, {} FROM {}",
-            translation.stmt.body.schema.join(", "),
-            translation.names.bset()
-        ))
-        .ok()?;
-    let mut map = HashMap::with_capacity(rs.len());
-    for row in rs.rows() {
-        let bid = match &row[0] {
-            Value::Int(i) if *i >= 0 => *i as u32,
-            _ => return None,
-        };
-        let vals: Vec<&Value> = row[1..].iter().collect();
-        map.insert(bid, compound_key(&vals));
+/// The ascending slot ids of the live groups holding each `wanted` item,
+/// indexed by item id (`None` for items not asked for).
+fn gid_lists(
+    slots: &[Option<GroupSlot>],
+    n_items: usize,
+    wanted: impl Iterator<Item = u32>,
+) -> Vec<Option<Vec<u32>>> {
+    let mut lists = vec![None; n_items];
+    for item in wanted {
+        if let Some(list) = lists.get_mut(item as usize) {
+            *list = Some(Vec::new());
+        }
     }
-    Some(map)
+    for (slot_id, slot) in slots.iter().enumerate() {
+        let Some(slot) = slot else { continue };
+        for item in items_of(slot) {
+            if let Some(Some(gids)) = lists.get_mut(item as usize) {
+                gids.push(slot_id as u32);
+            }
+        }
+    }
+    lists
 }
 
-/// Convert the bid-space inventory to value space and attach exact
-/// gid-sets, computed by prefix intersection over the (downward-closed)
-/// inventory: `gids(X) = gids(X[..k-1]) ∩ slots(X[k-1])`. Returns `None`
-/// when any computed support disagrees with the miner's count (a
-/// value-rendering collision — bail rather than cache wrong results).
+/// Map the miner's `Bid` itemsets to item ids and attach exact gid sets,
+/// built level by level over the downward-closed inventory:
+/// `gids(X) = gids(X[..k-1]) ∩ gids({X[k-1]})`, as hybrid list/bitset
+/// sets under the miner's density rule (with counters of their own, so
+/// `core.gidset.*` counts only the miner). Returns `None` when an item or
+/// subset is missing or any computed support disagrees with the miner's
+/// count — bail rather than cache wrong results.
 fn build_inventory(
     large: &[LargeItemset],
-    bid_items: &HashMap<u32, String>,
+    bid_items: &HashMap<u32, u32>,
     slots: &[Option<GroupSlot>],
+    n_items: usize,
 ) -> Option<Vec<CachedItemset>> {
-    // Inverted index: item key → sorted slot ids containing it.
-    let mut item_slots: HashMap<&str, Vec<u32>> = HashMap::new();
-    for (i, slot) in slots.iter().enumerate() {
-        if let Some(slot) = slot {
-            for item in slot.item_set() {
-                item_slots.entry(item).or_default().push(i as u32);
-            }
-        }
-    }
+    let mut sets = large
+        .iter()
+        .map(|(set, count)| {
+            let mut items: Vec<u32> = set
+                .iter()
+                .map(|bid| bid_items.get(bid).copied())
+                .collect::<Option<_>>()?;
+            items.sort_unstable();
+            Some((items, *count))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    sets.sort_unstable_by(|a, b| by_len_then_items(&a.0, &b.0));
 
-    let mut sets: Vec<(Vec<String>, u32)> = Vec::with_capacity(large.len());
-    for (set, cnt) in large {
-        let mut items: Vec<String> = set
-            .iter()
-            .map(|bid| bid_items.get(bid).cloned())
-            .collect::<Option<_>>()?;
-        items.sort();
-        sets.push((items, *cnt));
-    }
-    sets.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
+    // Gid lists of the frequent items (the singletons).
+    let singletons = sets.iter().take_while(|(items, _)| items.len() == 1);
+    let mut item_gids = gid_lists(slots, n_items, singletons.map(|(items, _)| items[0]));
 
-    let mut gid_map: HashMap<Vec<String>, Vec<u32>> = HashMap::with_capacity(sets.len());
-    let mut inventory = Vec::with_capacity(sets.len());
-    for (items, cnt) in sets {
-        let last = item_slots.get(items.last()?.as_str())?;
-        let gids = if items.len() == 1 {
-            last.clone()
+    let counters = GidSetCounters::default();
+    let ctx = GidSetCtx::new(slots.len(), &counters);
+    let position = |key: &[u32]| {
+        sets.binary_search_by(|(items, _)| by_len_then_items(items, key))
+            .ok()
+    };
+    let mut gid_sets: Vec<GidSet> = Vec::with_capacity(sets.len());
+    for (items, count) in &sets {
+        let (&last, prefix) = items.split_last()?;
+        let set = if prefix.is_empty() {
+            ctx.build(item_gids.get_mut(last as usize)?.take()?)
         } else {
-            intersect_sorted(gid_map.get(&items[..items.len() - 1])?, last)
+            // Both subsets sort before `items`, so their sets are built.
+            let parent = gid_sets.get(position(prefix)?)?;
+            let single = gid_sets.get(position(&[last])?)?;
+            ctx.intersect(parent, single)
         };
-        if gids.len() as u32 != cnt {
+        if set.len() != *count {
             return None;
         }
-        gid_map.insert(items.clone(), gids.clone());
-        inventory.push(CachedItemset { items, gids });
+        gid_sets.push(set);
     }
-    Some(inventory)
+    Some(
+        sets.into_iter()
+            .zip(gid_sets)
+            .map(|((items, _), gids)| CachedItemset {
+                items,
+                gids: gids.into_sorted_list(),
+            })
+            .collect(),
+    )
 }
 
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Replay the source-table delta onto a clone of the entry: update slot
+/// Replay the source-table delta onto the entry: update slot
 /// multisets, patch gid-sets of cached itemsets for affected groups,
 /// mine the grown/new groups for borderline candidates and verify them
 /// exactly. Returns `None` whenever incremental re-mining is unsound or
@@ -551,7 +642,7 @@ fn apply_delta(
         Some(d) => d,
         None => return Ok(None),
     };
-    let cached_rows: u64 = entry.slots.iter().flatten().map(|s| s.row_count()).sum();
+    let cached_rows: u64 = entry.slots.iter().flatten().map(row_count).sum();
     let budget = (cached_rows as usize / 4).max(BUDGET_MIN_ROWS);
     if delta.row_count() > budget {
         return Ok(None);
@@ -561,51 +652,30 @@ fn apply_delta(
         None => return Ok(None),
     };
 
-    // Pre-delta item sets of every slot the delta touches.
-    let mut before: HashMap<u32, HashSet<String>> = HashMap::new();
-    let touch = |entry: &MineEntry, slot: u32, before: &mut HashMap<u32, HashSet<String>>| {
-        before.entry(slot).or_insert_with(|| {
-            entry.slots[slot as usize]
-                .as_ref()
-                .map(|s| s.item_set().into_iter().map(str::to_string).collect())
-                .unwrap_or_default()
-        });
-    };
-
-    if !apply_rows(&mut entry, &delta, &group_cols, &item_cols, &mut |e, s| {
-        touch(e, s, &mut before)
-    }) {
+    // Pre-delta items of every slot the delta touches.
+    let mut before: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    if !apply_rows(&mut entry, &delta, &group_cols, &item_cols, &mut before) {
         return Ok(None);
     }
 
     // Retire emptied groups; classify the touched slots.
-    let mut grown_or_new: Vec<(u32, HashSet<String>)> = Vec::new();
+    let mut grown_or_new: Vec<Vec<u32>> = Vec::new();
     let mut changed: Vec<u32> = Vec::new();
-    for (&slot, old_set) in &before {
-        let now: HashSet<String> = entry.slots[slot as usize]
-            .as_ref()
-            .map(|s| {
-                if s.row_count() == 0 {
-                    HashSet::new()
-                } else {
-                    s.item_set().into_iter().map(str::to_string).collect()
-                }
-            })
-            .unwrap_or_default();
-        if entry.slots[slot as usize]
-            .as_ref()
-            .is_some_and(|s| s.row_count() == 0)
-        {
-            let key = entry.slots[slot as usize].as_ref().unwrap().key.clone();
-            entry.index.remove(&key);
-            entry.slots[slot as usize] = None;
+    for (slot, old) in before {
+        let group = &mut entry.slots[slot as usize];
+        if group.as_ref().is_some_and(Vec::is_empty) {
+            *group = None;
         }
-        if now == *old_set {
+        let now: Vec<u32> = group
+            .as_ref()
+            .map(|s| items_of(s).collect())
+            .unwrap_or_default();
+        if now == old {
             continue; // duplicate-row churn only: the item set is unchanged
         }
         changed.push(slot);
-        if now.iter().any(|i| !old_set.contains(i)) {
-            grown_or_new.push((slot, now));
+        if now.iter().any(|i| old.binary_search(i).is_err()) {
+            grown_or_new.push(now);
         }
     }
 
@@ -622,9 +692,8 @@ fn apply_delta(
         for &slot in &changed {
             let contains_now = entry.slots[slot as usize]
                 .as_ref()
-                .is_some_and(|s| cached.items.iter().all(|i| s.items.contains_key(i)));
-            let pos = cached.gids.binary_search(&slot);
-            match (pos, contains_now) {
+                .is_some_and(|s| cached.items.iter().all(|&i| has_item(s, i)));
+            match (cached.gids.binary_search(&slot), contains_now) {
                 (Ok(p), false) => {
                     cached.gids.remove(p);
                 }
@@ -638,52 +707,37 @@ fn apply_delta(
     // support < cached min_groups, so to reach new_min it must occur in
     // at least `t` of the grown/new groups. Mine just those.
     let t = (new_min - entry.min_groups + 1) as usize;
-    let delta_sets: Vec<&HashSet<String>> = grown_or_new.iter().map(|(_, s)| s).collect();
-    let candidates = match mine_delta_candidates(&delta_sets, t) {
+    let candidates = match mine_delta_candidates(&grown_or_new, t) {
         Some(c) => c,
         None => return Ok(None), // candidate blow-up: full mine
     };
     if !candidates.is_empty() {
-        let known: HashSet<Vec<String>> = entry.inventory.iter().map(|c| c.items.clone()).collect();
         // Exact verification over all live groups via an inverted index
         // restricted to candidate items.
-        let mut item_slots: HashMap<&str, Vec<u32>> = HashMap::new();
-        let wanted: HashSet<&str> = candidates
-            .iter()
-            .flat_map(|c| c.iter().map(String::as_str))
-            .collect();
-        for (i, slot) in entry.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                for item in slot.item_set() {
-                    if wanted.contains(item) {
-                        item_slots.entry(item).or_default().push(i as u32);
-                    }
-                }
-            }
-        }
+        let wanted = candidates.iter().flatten().copied();
+        let item_gids = gid_lists(&entry.slots, entry.items.len(), wanted);
         let mut fresh: Vec<CachedItemset> = Vec::new();
+        let mut scratch = Vec::new();
         for items in candidates {
-            if known.contains(&items) {
+            let known = entry
+                .inventory
+                .binary_search_by(|c| by_len_then_items(&c.items, &items))
+                .is_ok();
+            if known {
                 continue;
             }
-            let mut gids: Option<Vec<u32>> = None;
-            for item in &items {
-                let slots = match item_slots.get(item.as_str()) {
-                    Some(s) => s,
-                    None => {
-                        gids = Some(Vec::new());
-                        break;
-                    }
-                };
-                gids = Some(match gids {
-                    None => slots.clone(),
-                    Some(g) => intersect_sorted(&g, slots),
-                });
-                if gids.as_ref().is_some_and(Vec::is_empty) {
+            let mut lists = items.iter().map(|&item| {
+                let list = item_gids.get(item as usize).and_then(Option::as_deref);
+                list.unwrap_or_default()
+            });
+            let mut gids = lists.next().unwrap_or_default().to_vec();
+            for list in lists {
+                if gids.is_empty() {
                     break;
                 }
+                intersect_into(&gids, list, &mut scratch);
+                std::mem::swap(&mut gids, &mut scratch);
             }
-            let gids = gids.unwrap_or_default();
             if gids.len() as u64 >= new_min {
                 fresh.push(CachedItemset { items, gids });
             }
@@ -694,12 +748,9 @@ fn apply_delta(
     // Keep exactly the frequent set at the new threshold: the inventory
     // is complete there (cached updates + verified candidates).
     entry.inventory.retain(|c| c.gids.len() as u64 >= new_min);
-    entry.inventory.sort_by(|a, b| {
-        a.items
-            .len()
-            .cmp(&b.items.len())
-            .then_with(|| a.items.cmp(&b.items))
-    });
+    entry
+        .inventory
+        .sort_unstable_by(|a, b| by_len_then_items(&a.items, &b.items));
     entry.total_groups = new_totg;
     entry.table_versions = match source_versions(db, stmt) {
         Some(v) => v,
@@ -708,15 +759,16 @@ fn apply_delta(
     Ok(Some(entry))
 }
 
-/// Apply the delta rows to the entry's group map. Returns false when a
-/// deleted row cannot be accounted for (the map and the table diverged —
-/// never expected, but never cache through it).
+/// Apply the delta rows to the entry's slots, noting each touched slot's
+/// pre-delta items in `before`. Returns false when a deleted row cannot
+/// be accounted for (the slots and the table diverged — never expected,
+/// but never cache through it).
 fn apply_rows(
     entry: &mut MineEntry,
     delta: &TableDelta,
     group_cols: &[usize],
     item_cols: &[usize],
-    touch: &mut impl FnMut(&MineEntry, u32),
+    before: &mut BTreeMap<u32, Vec<u32>>,
 ) -> bool {
     let max_col = group_cols.iter().chain(item_cols).copied().max();
     for row in delta.inserted.iter().chain(&delta.deleted) {
@@ -724,75 +776,95 @@ fn apply_rows(
             return false; // schema drift
         }
     }
+    // The fused pass's keys and join eligibility.
+    let keys = |row: &[Value]| {
+        let key = |cols: &[usize]| -> Vec<Value> { cols.iter().map(|&i| row[i].clone()).collect() };
+        let (g_key, b_key) = (key(group_cols), key(item_cols));
+        let joinable = joinable(&g_key, &b_key);
+        (g_key, b_key, joinable)
+    };
+    let note = |entry: &MineEntry, slot: u32, before: &mut BTreeMap<u32, Vec<u32>>| {
+        before.entry(slot).or_insert_with(|| {
+            entry.slots[slot as usize]
+                .as_ref()
+                .map(|s| items_of(s).collect())
+                .unwrap_or_default()
+        });
+    };
     for row in &delta.inserted {
-        let (gkey, ikey) = row_keys(row, group_cols, item_cols);
-        let slot = match entry.index.get(&gkey) {
-            Some(&s) => s,
-            None => {
-                let s = entry.slots.len() as u32;
-                entry.slots.push(Some(GroupSlot {
-                    key: gkey.clone(),
-                    items: BTreeMap::new(),
-                }));
-                entry.index.insert(gkey, s);
-                s
-            }
+        let (g_key, b_key, joinable) = keys(row);
+        let next = entry.slots.len() as u32;
+        let slot = *entry.groups.entry(g_key).or_insert(next);
+        if slot == next {
+            entry.slots.push(None);
+        }
+        note(entry, slot, before);
+        let item = if joinable {
+            let next = entry.items.len() as u32;
+            *entry.items.entry(b_key).or_insert(next)
+        } else {
+            NO_ITEM
         };
-        touch(entry, slot);
-        *entry.slots[slot as usize]
-            .as_mut()
-            .unwrap()
-            .items
-            .entry(ikey)
-            .or_insert(0) += 1;
+        let group = entry.slots[slot as usize].get_or_insert_with(Vec::new);
+        match group.binary_search_by_key(&item, |&(i, _)| i) {
+            Ok(p) => group[p].1 += 1,
+            Err(p) => group.insert(p, (item, 1)),
+        }
     }
     for row in &delta.deleted {
-        let (gkey, ikey) = row_keys(row, group_cols, item_cols);
-        let slot = match entry.index.get(&gkey) {
-            Some(&s) => s,
-            None => return false,
+        let (g_key, b_key, joinable) = keys(row);
+        let Some(&slot) = entry.groups.get(&g_key) else {
+            return false;
         };
-        touch(entry, slot);
-        let slot_ref = entry.slots[slot as usize].as_mut().unwrap();
-        match slot_ref.items.get_mut(&ikey) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                if *c == 0 {
-                    slot_ref.items.remove(&ikey);
+        note(entry, slot, before);
+        let item = match (joinable, entry.items.get(&b_key)) {
+            (false, _) => NO_ITEM,
+            (true, Some(&item)) => item,
+            (true, None) => return false,
+        };
+        let Some(group) = entry.slots[slot as usize].as_mut() else {
+            return false;
+        };
+        match group.binary_search_by_key(&item, |&(i, _)| i) {
+            Ok(p) => {
+                group[p].1 -= 1;
+                if group[p].1 == 0 {
+                    group.remove(p);
                 }
             }
-            _ => return false,
+            Err(_) => return false,
         }
     }
     true
 }
 
-/// Enumerate every itemset occurring in at least `t` of the given group
-/// item-sets (depth-first with tid-lists over the — small — delta).
-/// Returns `None` past [`MAX_DELTA_CANDIDATES`].
-fn mine_delta_candidates(groups: &[&HashSet<String>], t: usize) -> Option<Vec<Vec<String>>> {
+/// Enumerate every itemset occurring in at least `t` of the given groups'
+/// sorted item ids (depth-first with tid-lists over the — small —
+/// delta), each itemset ascending. Returns `None` past
+/// [`MAX_DELTA_CANDIDATES`].
+fn mine_delta_candidates(groups: &[Vec<u32>], t: usize) -> Option<Vec<Vec<u32>>> {
     if groups.is_empty() || t > groups.len() {
         return Some(Vec::new());
     }
-    let mut tids: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut tids: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, set) in groups.iter().enumerate() {
-        for item in set.iter() {
+        for &item in set {
             tids.entry(item).or_default().push(i);
         }
     }
-    let items: Vec<(&str, Vec<usize>)> = tids
+    let items: Vec<(u32, Vec<usize>)> = tids
         .into_iter()
         .filter(|(_, tids)| tids.len() >= t)
         .collect();
-    let mut out: Vec<Vec<String>> = Vec::new();
+    let mut out: Vec<Vec<u32>> = Vec::new();
 
     fn extend(
-        items: &[(&str, Vec<usize>)],
+        items: &[(u32, Vec<usize>)],
         start: usize,
-        prefix: &mut Vec<String>,
+        prefix: &mut Vec<u32>,
         prefix_tids: &[usize],
         t: usize,
-        out: &mut Vec<Vec<String>>,
+        out: &mut Vec<Vec<u32>>,
     ) -> bool {
         for (i, (item, item_tids)) in items.iter().enumerate().skip(start) {
             let tids: Vec<usize> = if prefix.is_empty() {
@@ -807,13 +879,12 @@ fn mine_delta_candidates(groups: &[&HashSet<String>], t: usize) -> Option<Vec<Ve
             if tids.len() < t {
                 continue;
             }
-            prefix.push(item.to_string());
             if out.len() >= MAX_DELTA_CANDIDATES {
                 return false;
             }
-            let mut emitted = prefix.clone();
-            emitted.sort();
-            out.push(emitted);
+            // Items extend in ascending order, so the prefix is sorted.
+            prefix.push(*item);
+            out.push(prefix.clone());
             if !extend(items, i + 1, prefix, &tids, t, out) {
                 return false;
             }
@@ -829,10 +900,11 @@ fn mine_delta_candidates(groups: &[&HashSet<String>], t: usize) -> Option<Vec<Ve
     Some(out)
 }
 
-/// Filter the inventory at the statement's threshold, map value-space
-/// items onto the current `Bset` identifiers and regenerate rules with
-/// the same derivation a cold mine uses — bit-identical output. `None`
-/// when an item cannot be mapped (serve as a miss instead).
+/// Filter the inventory at the statement's threshold, map item ids onto
+/// the current `Bset` identifiers (each `Bset` row looked up in the item
+/// dictionary) and regenerate rules with the same derivation a cold mine
+/// uses — bit-identical output. `None` when an item has no current `Bid`
+/// (serve as a miss instead).
 fn extract_rules(
     db: &mut Database,
     entry: &MineEntry,
@@ -840,24 +912,30 @@ fn extract_rules(
     new_min: u64,
 ) -> Result<Option<Vec<EncodedRule>>> {
     let stmt = &translation.stmt;
-    let bid_items = match read_bid_items(db, translation) {
-        Some(map) => map,
+    let bset = match read_bset(db, translation) {
+        Some(rs) => rs,
         None => return Ok(None),
     };
-    let item_bids: HashMap<&str, u32> = bid_items
-        .iter()
-        .map(|(&bid, item)| (item.as_str(), bid))
-        .collect();
+    let mut item_bids: Vec<Option<u32>> = vec![None; entry.items.len()];
+    for row in bset.rows() {
+        if let Some(&item) = entry.items.get(&row[1..]) {
+            let bid = match bid_of(row).map(encoded_id) {
+                Some(Ok(bid)) => bid,
+                _ => return Ok(None),
+            };
+            item_bids[item as usize] = Some(bid);
+        }
+    }
     let mut large: Vec<LargeItemset> = Vec::new();
     for cached in &entry.inventory {
         if (cached.gids.len() as u64) < new_min {
             continue;
         }
         let mut set: Vec<u32> = Vec::with_capacity(cached.items.len());
-        for item in &cached.items {
-            match item_bids.get(item.as_str()) {
-                Some(&bid) => set.push(bid),
-                None => return Ok(None),
+        for &item in &cached.items {
+            match item_bids.get(item as usize) {
+                Some(&Some(bid)) => set.push(bid),
+                _ => return Ok(None),
             }
         }
         set.sort_unstable();
@@ -876,20 +954,30 @@ fn extract_rules(
 
 /// Rough retained size of one entry, for the bytes gauge.
 fn approx_entry_bytes(entry: &MineEntry) -> u64 {
+    let value_bytes = |v: &Value| {
+        std::mem::size_of::<Value>() as u64
+            + match v {
+                Value::Str(s) => s.len() as u64,
+                _ => 0,
+            }
+    };
+    let dict_bytes: u64 = entry
+        .groups
+        .keys()
+        .chain(entry.items.keys())
+        .map(|key| key.iter().map(value_bytes).sum::<u64>() + 40)
+        .sum();
     let slot_bytes: u64 = entry
         .slots
         .iter()
-        .flatten()
-        .map(|s| s.key.len() as u64 + s.items.keys().map(|k| k.len() as u64 + 12).sum::<u64>() + 32)
+        .map(|s| s.as_ref().map_or(0, |s| s.len() as u64 * 8) + 24)
         .sum();
     let inv_bytes: u64 = entry
         .inventory
         .iter()
-        .map(|c| {
-            c.items.iter().map(|i| i.len() as u64 + 8).sum::<u64>() + c.gids.len() as u64 * 4 + 32
-        })
+        .map(|c| (c.items.len() + c.gids.len()) as u64 * 4 + 48)
         .sum();
-    slot_bytes + inv_bytes + 256
+    dict_bytes + slot_bytes + inv_bytes + 256
 }
 
 #[cfg(test)]
@@ -1067,39 +1155,96 @@ mod tests {
         assert_eq!(warm.rules, cold_reference(&[], &stmt_text(0.5, 0.4, "R")));
     }
 
+    /// Two captures of one statement: the fused pass's hand-off and
+    /// the scan must build the same entry, field by field.
     #[test]
-    fn value_keys_never_alias_across_types() {
-        assert_ne!(
-            value_key(&Value::Int(1)),
-            value_key(&Value::Str("1".into()))
+    fn handoff_capture_equals_the_scan_capture() {
+        use crate::core_op::{run_core, CoreOptions};
+        use crate::encoded::read_encoded;
+        use crate::parser::parse_mine_rule;
+        use crate::preprocess::preprocess_with_handoff;
+        use crate::translator::translate;
+
+        let mut mixed = Database::new();
+        mixed
+            .execute("CREATE TABLE Mixed (cust VARCHAR, item VARCHAR, size FLOAT)")
+            .unwrap();
+        mixed
+            .execute(
+                "INSERT INTO Mixed VALUES ('a', 'x', 0.0), ('a', 'y', -0.0), \
+                 ('b', 'x', -0.0), ('b', 'y', -0.0), ('b', NULL, 1.0), \
+                 (NULL, 'x', 0.0), ('c', 'x', 0.0), ('c', 'y', 0.0), ('c', 'x', 0.0)",
+            )
+            .unwrap();
+        let cases = [
+            (purchase_db(), stmt_text(0.25, 0.1, "R")),
+            (
+                mixed,
+                "MINE RULE M AS SELECT DISTINCT 1..n item, size AS BODY, 1..1 item, size \
+                 AS HEAD FROM Mixed GROUP BY cust \
+                 EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.1"
+                    .to_string(),
+            ),
+        ];
+        for (mut db, text) in cases {
+            let translation = translate(&parse_mine_rule(&text).unwrap(), db.catalog()).unwrap();
+            let (report, handoff) = preprocess_with_handoff(&mut db, &translation).unwrap();
+            let (_, slots) = handoff.expect("the fused pass hands its slots over");
+            let encoded = read_encoded(&mut db, &translation).unwrap();
+            let large = run_core(&encoded, &CoreOptions::default())
+                .unwrap()
+                .large_itemsets
+                .unwrap();
+            let capture = |slots: Option<SourceSlots>, db: &mut Database| {
+                let cache = MineResultCache::new();
+                let (_, source) = cache.capture(db, &translation, "", &report, &large, slots);
+                let entries = lock(cache.inner.as_ref().unwrap()).entries.clone();
+                (source, entries)
+            };
+            let (source, handed) = capture(Some(slots), &mut db);
+            assert_eq!(source, Some(CaptureSource::Handoff), "{text}");
+            let (source, scanned) = capture(None, &mut db);
+            assert_eq!(source, Some(CaptureSource::Scan), "{text}");
+            assert_eq!(handed.len(), 1, "{text}");
+            assert!(!handed[0].inventory.is_empty(), "{text}");
+            assert_eq!(handed, scanned, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_store_misses_and_still_mines_correctly() {
+        let engine = MineRuleEngine::new();
+        let mut db = purchase_db();
+        engine.execute(&mut db, &stmt_text(0.25, 0.1, "R")).unwrap();
+        let inner = engine.minecache().inner.clone().unwrap();
+        let poisoner = inner.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.lock();
+            panic!("poison the mined-result store");
+        })
+        .join();
+        assert!(panicked.is_err() && inner.is_poisoned());
+
+        let warm = engine.execute(&mut db, &stmt_text(0.5, 0.4, "R")).unwrap();
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counter("core.minecache.hit"), 0);
+        assert_eq!(snap.counter("core.minecache.miss"), 2);
+        assert_eq!(warm.rules, cold_reference(&[], &stmt_text(0.5, 0.4, "R")));
+        assert!(!inner.is_poisoned());
+        // The miss captured afresh, so the next refinement is served.
+        engine.execute(&mut db, &stmt_text(0.5, 0.7, "R")).unwrap();
+        assert_eq!(
+            engine.metrics_snapshot().counter("core.minecache.refine"),
+            1
         );
-        assert_ne!(value_key(&Value::Int(1)), value_key(&Value::Float(1.0)));
-        assert_ne!(
-            value_key(&Value::Null),
-            value_key(&Value::Str(String::new()))
-        );
-        assert_ne!(
-            compound_key(&[&Value::Str("a\u{1f}b".into())]),
-            compound_key(&[&Value::Str("a".into()), &Value::Str("b".into())])
-        );
-        // Still... the last two render the same joined text, which is
-        // exactly why stores verify counts before trusting the map.
     }
 
     #[test]
     fn delta_candidate_miner_enumerates_exactly() {
-        let a: HashSet<String> = ["x", "y", "z"].iter().map(|s| s.to_string()).collect();
-        let b: HashSet<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
-        let c: HashSet<String> = ["y"].iter().map(|s| s.to_string()).collect();
-        let groups = [&a, &b, &c];
+        let groups = [vec![0, 1, 2], vec![0, 1], vec![1]];
         let mut found = mine_delta_candidates(&groups, 2).unwrap();
         found.sort();
-        let expect: Vec<Vec<String>> = vec![
-            vec!["x".into()],
-            vec!["x".into(), "y".into()],
-            vec!["y".into()],
-        ];
-        assert_eq!(found, expect);
+        assert_eq!(found, vec![vec![0], vec![0, 1], vec![1]]);
         assert!(mine_delta_candidates(&groups, 4).unwrap().is_empty());
     }
 }

@@ -22,10 +22,10 @@ use crate::cache::PreprocessCache;
 use crate::core_op::{run_core_with_telemetry, CoreOptions, CoreOutput};
 use crate::encoded::{handed_over, read_encoded, SimpleGroups};
 use crate::error::{MineError, Result};
-use crate::minecache::{MineResultCache, ServeKind};
+use crate::minecache::{CaptureSource, MineResultCache, ServeKind};
 use crate::parser::parse_mine_rule;
 use crate::postprocess::{postprocess, read_rules, store_encoded_rules, DecodedRule};
-use crate::preprocess::{preprocess_with_handoff, PreprocessReport};
+use crate::preprocess::{preprocess_with_handoff, PreprocessReport, SourceSlots};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::translator::{translate_with_prefix, Translation};
 
@@ -251,6 +251,12 @@ impl MineRuleEngine {
         self.minecache.is_enabled()
     }
 
+    /// The engine's mined-result cache (clones share its store).
+    #[cfg(test)]
+    pub(crate) fn minecache(&self) -> &MineResultCache {
+        &self.minecache
+    }
+
     /// Report runs into the given telemetry registry (replaces the
     /// engine's own). Useful to share one registry across engines.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> MineRuleEngine {
@@ -325,12 +331,13 @@ impl MineRuleEngine {
     /// cached encoded tables (no `Qi` step executes); a miss runs the
     /// full program and captures the artifacts for the next run. With the
     /// cache disabled this is exactly [`crate::preprocess::preprocess`].
-    /// A fused pass also hands over the simple-class groups it built.
+    /// A fused pass also hands over the simple-class groups and slots it
+    /// built.
     fn run_preprocess(
         &self,
         db: &mut Database,
         translation: &Translation,
-    ) -> Result<(PreprocessReport, Option<SimpleGroups>)> {
+    ) -> Result<(PreprocessReport, Option<(SimpleGroups, SourceSlots)>)> {
         if !self.preprocache.is_enabled() {
             return preprocess_with_handoff(db, translation);
         }
@@ -589,7 +596,7 @@ impl MineRuleEngine {
         &self,
         db: &mut Database,
         translation: Translation,
-        (preprocess_report, handoff): (PreprocessReport, Option<SimpleGroups>),
+        (preprocess_report, handoff): (PreprocessReport, Option<(SimpleGroups, SourceSlots)>),
         translate_time: Duration,
         preprocess_time: Duration,
         sql_before: ExecStats,
@@ -617,15 +624,16 @@ impl MineRuleEngine {
                     self.telemetry.counter_inc("core.minecache.miss");
                 }
                 // A cold fused pass handed its groups over; every other
-                // path reads them back from the encoded tables.
-                let encoded = match handoff {
-                    Some(groups) => {
+                // path reads them back from the encoded tables. Its slots
+                // wait for the mined-result cache capture.
+                let (encoded, slots) = match handoff {
+                    Some((groups, slots)) => {
                         self.telemetry.counter_inc("core.encoded.handoff");
-                        handed_over(db, &translation, groups)?
+                        (handed_over(db, &translation, groups)?, Some(slots))
                     }
                     None => {
                         self.telemetry.counter_inc("core.encoded.read");
-                        read_encoded(db, &translation)?
+                        (read_encoded(db, &translation)?, None)
                     }
                 };
                 let CoreOutput {
@@ -636,13 +644,23 @@ impl MineRuleEngine {
                     ..
                 } = run_core_with_telemetry(&encoded, &self.core, &self.telemetry)?;
                 if let Some(large) = &large_itemsets {
-                    let stored = self.minecache.store(
+                    let (stored, source) = self.minecache.capture(
                         db,
                         &translation,
                         &self.table_prefix,
                         &preprocess_report,
                         large,
+                        slots,
                     );
+                    match source {
+                        Some(CaptureSource::Handoff) => {
+                            self.telemetry.counter_inc("core.minecache.capture.handoff")
+                        }
+                        Some(CaptureSource::Scan) => {
+                            self.telemetry.counter_inc("core.minecache.capture.scan")
+                        }
+                        None => {}
+                    }
                     if stored.evicted > 0 {
                         self.telemetry
                             .counter_add("core.minecache.evict", stored.evicted);

@@ -13,12 +13,12 @@
 //! bit-identical to the step-by-step SQL program — row contents *and*
 //! row order — which `tests/planner_agreement.rs` enforces.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use relational::expr::compile::ExecCounter;
 use relational::expr::eval::QueryCtx;
 use relational::{
-    Column, ColumnBatch, DataType, Database, ExecMode, PlannerMode, Schema, Table, Value,
+    Column, ColumnBatch, DataType, Database, ExecMode, PlannerMode, Row, Schema, Table, Value,
     VECTOR_BATCH_ROWS,
 };
 
@@ -86,21 +86,126 @@ pub fn preprocess(db: &mut Database, translation: &Translation) -> Result<Prepro
     preprocess_with_handoff(db, translation).map(|(report, _)| report)
 }
 
-/// [`preprocess`], also handing over the simple-class groups when the
-/// fused pass ran: exactly what [`crate::encoded::read_encoded`] would
-/// read back from the `CodedSource` it just built, so the core need not
-/// re-read the table. `None` after the step-by-step program.
+/// [`preprocess`], also handing over what the fused pass built when it
+/// ran: the simple-class groups — exactly what
+/// [`crate::encoded::read_encoded`] would read back from the
+/// `CodedSource` it just built, so the core need not re-read the table —
+/// and the pass's [`SourceSlots`], from which the mined-result cache
+/// captures without scanning the source again. `None` after the
+/// step-by-step program.
 pub fn preprocess_with_handoff(
     db: &mut Database,
     translation: &Translation,
-) -> Result<(PreprocessReport, Option<SimpleGroups>)> {
+) -> Result<(PreprocessReport, Option<(SimpleGroups, SourceSlots)>)> {
     run_steps(db, &translation.cleanup, translation.stmt.min_support)?;
     if db.planner_mode() == PlannerMode::Cost && fusible(translation) {
-        let (report, groups) = run_fused_simple(db, translation)?;
-        return Ok((report, Some(groups)));
+        let (report, groups, slots) = run_fused_simple(db, translation)?;
+        return Ok((report, Some((groups, slots))));
     }
     let report = run_steps(db, &translation.preprocess, translation.stmt.min_support)?;
     Ok((report, None))
+}
+
+/// The first-seen slot assignment of one scan over a simple-class
+/// source: every group key and body key gets the slot of its first
+/// occurrence — the bucket order the SQL engine's hash GROUP BY and
+/// DISTINCT produce — keyed by `Value` equality, so slots match SQL
+/// grouping exactly. Built by `scan_slots`.
+#[derive(Debug, Default)]
+pub struct SourceSlots {
+    /// Group key → group slot.
+    pub(crate) groups: HashMap<Vec<Value>, u32>,
+    /// Body key → body slot.
+    pub(crate) bodies: HashMap<Vec<Value>, u32>,
+    /// Per source row, in row order: `(group slot, body slot, joinable)`.
+    /// NULLs take part in grouping (SQL GROUP BY keeps NULL keys) but
+    /// never join in `Q4`, so a row with a NULL in either key is not
+    /// joinable.
+    pub(crate) rows: Vec<(u32, u32, bool)>,
+    /// Body slot → the `Bid` `Q3` drew for it (`None` below the
+    /// threshold). Empty until the fused pass or the cache fills it in.
+    pub(crate) bids: Vec<Option<i64>>,
+}
+
+/// [`scan_slots`]'s result: the slots plus the keys in slot order.
+pub(crate) struct SlotScan {
+    group_order: Vec<Vec<Value>>,
+    body_order: Vec<Vec<Value>>,
+    pub(crate) slots: SourceSlots,
+    /// Column batches streamed (0 on the row-at-a-time walk).
+    batches: u64,
+}
+
+/// Assign group and body slots over `rows` (see [`SourceSlots`]), keyed
+/// on the `group_cols` / `body_cols` attributes. With `batched` the rows
+/// stream through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`] rows — the
+/// same batches the SQL server's vectorized operators use — and each
+/// chunk is pivoted into typed vectors once; slots are identical either
+/// way. The fused pass runs this as its one scan; the mined-result cache
+/// runs it when no pass handed its slots over.
+pub(crate) fn scan_slots(
+    rows: &[Row],
+    group_cols: &[usize],
+    body_cols: &[usize],
+    batched: bool,
+) -> SlotScan {
+    let mut slots = SourceSlots {
+        rows: Vec::with_capacity(rows.len()),
+        ..SourceSlots::default()
+    };
+    let (mut group_order, mut body_order, mut batches) = (Vec::new(), Vec::new(), 0);
+    let mut take = |g_key: Vec<Value>, b_key: Vec<Value>| {
+        let joinable = joinable(&g_key, &b_key);
+        let g_slot = slot_of(&mut slots.groups, &mut group_order, g_key);
+        let b_slot = slot_of(&mut slots.bodies, &mut body_order, b_key);
+        slots.rows.push((g_slot, b_slot, joinable));
+    };
+    if batched {
+        let key_cols: Vec<usize> = group_cols.iter().chain(body_cols).copied().collect();
+        for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
+            batches += 1;
+            let batch = ColumnBatch::from_rows(chunk, &key_cols);
+            for lane in 0..batch.len() {
+                let g_key = group_cols.iter().map(|&i| batch.value(i, lane)).collect();
+                let b_key = body_cols.iter().map(|&i| batch.value(i, lane)).collect();
+                take(g_key, b_key);
+            }
+        }
+    } else {
+        let key_of = |row: &[Value], cols: &[usize]| -> Vec<Value> {
+            cols.iter().map(|&i| row[i].clone()).collect()
+        };
+        for row in rows {
+            take(key_of(row, group_cols), key_of(row, body_cols));
+        }
+    }
+    SlotScan {
+        group_order,
+        body_order,
+        slots,
+        batches,
+    }
+}
+
+/// Whether a row with these keys joins in `Q4`: NULL never equals
+/// anything there, though GROUP BY and DISTINCT keep NULL keys.
+pub(crate) fn joinable(group_key: &[Value], body_key: &[Value]) -> bool {
+    !group_key.iter().chain(body_key).any(Value::is_null)
+}
+
+/// The slot of `key`, assigning the next one on first sight.
+fn slot_of(
+    index: &mut HashMap<Vec<Value>, u32>,
+    order: &mut Vec<Vec<Value>>,
+    key: Vec<Value>,
+) -> u32 {
+    if let Some(&slot) = index.get(&key) {
+        return slot;
+    }
+    let slot = order.len() as u32;
+    order.push(key.clone());
+    index.insert(key, slot);
+    slot
 }
 
 /// Whether the translated program qualifies for the fused pipelined pass:
@@ -122,17 +227,17 @@ pub fn fusible(translation: &Translation) -> bool {
 /// SQL program uses. The subsumed intermediates (`ValidGroupsView`,
 /// `DistinctGroupsInBody`) never reach the catalog. Each table is built
 /// in one bulk insert. Alongside `CodedSource` the pass returns its rows
-/// grouped the way the core reads them (`ORDER BY Gid, Bid`).
+/// grouped the way the core reads them (`ORDER BY Gid, Bid`), and its
+/// slots with the `Bid` each body slot drew.
 ///
 /// Unless the batch execution mode is pinned to `row`, the scan streams
-/// the source through [`ColumnBatch`]es of [`VECTOR_BATCH_ROWS`] rows —
-/// the same batches the SQL server's vectorized operators use — bumping
-/// the `relational.vector.*` counters; key order and output tables are
+/// the source through column batches (see [`scan_slots`]), bumping the
+/// `relational.vector.*` counters; key order and output tables are
 /// identical either way.
 fn run_fused_simple(
     db: &mut Database,
     translation: &Translation,
-) -> Result<(PreprocessReport, SimpleGroups)> {
+) -> Result<(PreprocessReport, SimpleGroups, SourceSlots)> {
     let stmt = &translation.stmt;
     let names = &translation.names;
     let mut report = PreprocessReport::default();
@@ -147,24 +252,12 @@ fn run_fused_simple(
 
     // --- The fused scan: Q1 + Q2 + Q3's DISTINCT all in one pass. ---
     // Group and body keys go into first-seen-order slot maps (the same
-    // order a hash GROUP BY emits); each body slot tracks the *distinct*
-    // groups it occurs in (Q3's `SELECT DISTINCT body, group` pipelined
-    // into its `COUNT(*) GROUP BY body`). NULLs participate in grouping
-    // (SQL GROUP BY keeps NULL keys) but never join in Q4, so each row
-    // also records whether its keys are join-eligible.
-    let mut group_order: Vec<Vec<Value>> = Vec::new();
-    let mut body_order: Vec<Vec<Value>> = Vec::new();
-    let mut body_groups: Vec<std::collections::HashSet<usize>> = Vec::new();
-    // Per source row: (group slot, body slot, join-eligible).
-    let mut row_slots: Vec<(usize, usize, bool)> = Vec::new();
-    // The scan reads plain columns — always vector-safe — so only an
-    // explicit `row` exec mode forces the row-at-a-time walk.
+    // order a hash GROUP BY emits). The scan reads plain columns — always
+    // vector-safe — so only an explicit `row` exec mode forces the
+    // row-at-a-time walk.
     let batched = db.exec_mode() != ExecMode::Row;
-    let mut vector_batches = 0u64;
-    let mut vector_rows = 0u64;
-    let (g_cols, b_cols) = {
-        let src = &stmt.from[0].name;
-        let table = db.catalog().table(src)?;
+    let (g_cols, b_cols, scan) = {
+        let table = db.catalog().table(&stmt.from[0].name)?;
         let schema = table.schema();
         let resolve = |attrs: &[String]| -> Result<Vec<(usize, DataType)>> {
             attrs
@@ -179,63 +272,25 @@ fn run_fused_simple(
         };
         let g_cols = resolve(&stmt.group_by)?;
         let b_cols = resolve(&stmt.body.schema)?;
-
-        let mut group_slots: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut body_slots: HashMap<Vec<Value>, usize> = HashMap::new();
-        let rows = table.rows();
-        row_slots.reserve(rows.len());
-        let mut take = |g_key: Vec<Value>, b_key: Vec<Value>| {
-            let joinable = !g_key.iter().any(|v| v.is_null()) && !b_key.iter().any(|v| v.is_null());
-            let g_slot = match group_slots.get(&g_key) {
-                Some(&s) => s,
-                None => {
-                    let s = group_order.len();
-                    group_order.push(g_key.clone());
-                    group_slots.insert(g_key, s);
-                    s
-                }
-            };
-            let b_slot = match body_slots.get(&b_key) {
-                Some(&s) => s,
-                None => {
-                    let s = body_order.len();
-                    body_order.push(b_key.clone());
-                    body_slots.insert(b_key, s);
-                    body_groups.push(std::collections::HashSet::new());
-                    s
-                }
-            };
-            body_groups[b_slot].insert(g_slot);
-            row_slots.push((g_slot, b_slot, joinable));
-        };
-        if batched {
-            // Stream the source through column batches: each chunk is
-            // pivoted into typed vectors once, then both key sets gather
-            // from the same batch lane by lane.
-            let key_cols: Vec<usize> = g_cols.iter().chain(&b_cols).map(|&(i, _)| i).collect();
-            for chunk in rows.chunks(VECTOR_BATCH_ROWS) {
-                vector_batches += 1;
-                vector_rows += chunk.len() as u64;
-                let batch = ColumnBatch::from_rows(chunk, &key_cols);
-                for lane in 0..batch.len() {
-                    let g_key = g_cols.iter().map(|&(i, _)| batch.value(i, lane)).collect();
-                    let b_key = b_cols.iter().map(|&(i, _)| batch.value(i, lane)).collect();
-                    take(g_key, b_key);
-                }
-            }
-        } else {
-            let key_of = |row: &[Value], cols: &[(usize, DataType)]| -> Vec<Value> {
-                cols.iter().map(|&(i, _)| row[i].clone()).collect()
-            };
-            for row in rows {
-                take(key_of(row, &g_cols), key_of(row, &b_cols));
-            }
-        }
-        (g_cols, b_cols)
+        let index = |cols: &[(usize, DataType)]| cols.iter().map(|&(i, _)| i).collect::<Vec<_>>();
+        let scan = scan_slots(table.rows(), &index(&g_cols), &index(&b_cols), batched);
+        (g_cols, b_cols, scan)
     };
     if batched {
-        db.bump(ExecCounter::VectorBatches, vector_batches);
-        db.bump(ExecCounter::VectorRows, vector_rows);
+        db.bump(ExecCounter::VectorBatches, scan.batches);
+        db.bump(ExecCounter::VectorRows, scan.slots.rows.len() as u64);
+    }
+    let SlotScan {
+        group_order,
+        body_order,
+        mut slots,
+        ..
+    } = scan;
+    // Q3's `SELECT DISTINCT body, group` pipelined into its `COUNT(*)
+    // GROUP BY body`: the distinct groups each body slot occurs in.
+    let mut body_groups: Vec<HashSet<u32>> = vec![HashSet::new(); body_order.len()];
+    for &(g_slot, b_slot, _) in &slots.rows {
+        body_groups[b_slot as usize].insert(g_slot);
     }
 
     // Q1 + ComputeMinGroups: bind :totg and :mingroups.
@@ -321,18 +376,18 @@ fn run_fused_simple(
         Column::new("Bid", DataType::Int),
     ]);
     let mut coded = Table::new(names.coded_source(), schema);
-    let mut seen: std::collections::HashSet<(i64, i64)> = std::collections::HashSet::new();
+    let mut seen: HashSet<(i64, i64)> = HashSet::new();
     let mut rows = Vec::new();
     let mut group_bids: Vec<Vec<u32>> = vec![Vec::new(); gids.len()];
-    for &(g_slot, b_slot, joinable) in &row_slots {
+    for &(g_slot, b_slot, joinable) in &slots.rows {
         if !joinable {
             continue;
         }
-        if let Some(bid) = bids[b_slot] {
-            let gid = gids[g_slot];
+        if let Some(bid) = bids[b_slot as usize] {
+            let gid = gids[g_slot as usize];
             if seen.insert((gid, bid)) {
                 rows.push(vec![Value::Int(gid), Value::Int(bid)]);
-                group_bids[g_slot].push(encoded_id(bid)?);
+                group_bids[g_slot as usize].push(encoded_id(bid)?);
             }
         }
     }
@@ -362,7 +417,8 @@ fn run_fused_simple(
     // Six SQL statements subsumed: Q1, the Q2 view + table, Q3's two
     // statements and Q4.
     report.fused_steps = 6;
-    Ok((report, groups))
+    slots.bids = bids;
+    Ok((report, groups, slots))
 }
 
 fn annotate_fused(e: relational::Error, id: &str) -> MineError {

@@ -7,7 +7,7 @@
 
 use minerule::paper_example::{purchase_db, FILTERED_ORDERED_SETS};
 use minerule::{DecodedRule, MineRuleEngine};
-use relational::IndexPolicy;
+use relational::{Database, IndexPolicy, PlannerMode};
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 const CACHE: [bool; 2] = [true, false];
@@ -398,4 +398,237 @@ fn confidence_only_refinement_always_hits() {
         .execute(&mut purchase_db(), &simple(0.25, 0.8))
         .unwrap();
     assert_eq!(signature(&warm.rules), signature(&reference.rules));
+}
+
+// ---- where the mined-result cache's capture gets its grouping -----------
+
+/// Twenty customers plus NULL keys: `item` NULL on some rows, `cust` NULL
+/// on others, `region` a function of the customer, and a FLOAT `size`
+/// holding 0.0, -0.0 and 1.5 (distinct keys to the engine). Item `rare`
+/// sits in two of the 21 groups: one short of `:mingroups` = 3 at
+/// s = 0.1, so the INSERT stage below makes it large.
+fn mixed_db() -> Database {
+    let mut db = Database::new();
+    db.execute(
+        "CREATE TABLE Mixed (cust VARCHAR, region VARCHAR, item VARCHAR, \
+         color VARCHAR, size FLOAT)",
+    )
+    .unwrap();
+    let mut rows = Vec::new();
+    for i in 0..20usize {
+        let size = ["0.0", "-0.0", "1.5"][i % 3];
+        let color = if i % 2 == 0 { "blue" } else { "red" };
+        let mut items = Vec::new();
+        for (item, held) in [
+            ("a", i % 2 == 0),
+            ("b", i % 3 == 0),
+            ("c", i % 4 != 1),
+            ("d", i % 5 < 3),
+            ("rare", i == 1 || i == 2),
+        ] {
+            if held {
+                items.push(format!("'{item}'"));
+            }
+        }
+        if i % 7 == 3 {
+            items.push("NULL".into());
+        }
+        for item in items {
+            rows.push(format!("('c{i}', 'r{}', {item}, '{color}', {size})", i % 3));
+        }
+    }
+    rows.push("(NULL, 'r0', 'a', 'blue', 0.0)".into());
+    rows.push("(NULL, 'r0', 'c', 'red', -0.0)".into());
+    rows.push("('c4', 'r1', 'd', 'blue', NULL)".into());
+    db.execute(&format!("INSERT INTO Mixed VALUES {}", rows.join(", ")))
+        .unwrap();
+    db
+}
+
+fn mixed_mine(schemas: &str, group_by: &str, support: f64, confidence: f64) -> String {
+    format!(
+        "MINE RULE MixedRules AS SELECT DISTINCT 1..n {schemas}, SUPPORT, CONFIDENCE \
+         FROM Mixed GROUP BY {group_by} \
+         EXTRACTING RULES WITH SUPPORT: {support}, CONFIDENCE: {confidence}"
+    )
+}
+
+/// What one run did with the mined-result cache, from counter deltas.
+fn cache_outcome(
+    before: &minerule::telemetry::MetricsSnapshot,
+    after: &minerule::telemetry::MetricsSnapshot,
+) -> (&'static str, &'static str) {
+    let grew = |name: &str| after.counter(name) > before.counter(name);
+    let serve = if grew("core.minecache.miss") {
+        "miss"
+    } else if grew("core.minecache.delta") {
+        "delta"
+    } else if grew("core.minecache.refine") {
+        "refine"
+    } else if grew("core.minecache.hit") {
+        "hit"
+    } else {
+        "none"
+    };
+    let capture = if grew("core.minecache.capture.handoff") {
+        "handoff"
+    } else if grew("core.minecache.capture.scan") {
+        "scan"
+    } else {
+        "-"
+    };
+    (serve, capture)
+}
+
+/// The capture from the fused pass's hand-off and the capture from its
+/// own scan must serve the same: cold → tighten support → change
+/// confidence → INSERT, DELETE and UPDATE deltas → loosen, over NULL
+/// keys (in the source and in the deltas), multi-attribute schemas and
+/// ±0.0 keys, under the cost planner
+/// (hand-off) and the naive planner (scan), with the preprocess cache on
+/// and off. Every stage is bit-identical to an uncached cold mine, and
+/// every configuration sees the same serve outcomes.
+#[test]
+fn handoff_and_scan_captures_serve_alike() {
+    // (mutation applied before the mine, support, confidence)
+    let stages: [(Option<&str>, f64, f64); 7] = [
+        (None, 0.1, 0.3),
+        (None, 0.2, 0.3),
+        (None, 0.2, 0.6),
+        (
+            Some(
+                "INSERT INTO Mixed VALUES ('c5', 'r2', 'rare', 'red', -0.0), \
+                 ('c5', 'r2', 'a', 'red', -0.0), (NULL, 'r1', 'b', 'red', 1.5), \
+                 ('c6', 'r0', NULL, 'blue', 0.0)",
+            ),
+            0.1,
+            0.3,
+        ),
+        (
+            Some(
+                "DELETE FROM Mixed WHERE (cust = 'c0' AND item = 'b') \
+                 OR (cust = 'c3' AND item IS NULL)",
+            ),
+            0.1,
+            0.3,
+        ),
+        (
+            Some("UPDATE Mixed SET item = 'd' WHERE cust = 'c8' AND item = 'a'"),
+            0.1,
+            0.3,
+        ),
+        (None, 0.05, 0.3),
+    ];
+    let expected = [
+        "miss", "refine", "refine", "delta", "delta", "delta", "miss",
+    ];
+    let statements = [
+        ("item AS BODY, 1..1 item AS HEAD", "cust"),
+        (
+            "item, color AS BODY, 1..1 item, color AS HEAD",
+            "cust, region",
+        ),
+        ("item, size AS BODY, 1..1 item, size AS HEAD", "cust"),
+    ];
+    for (schemas, group_by) in statements {
+        let mut large_rare = false;
+        for planner in [PlannerMode::Cost, PlannerMode::Naive] {
+            for preprocache in [true, false] {
+                let label = format!("{schemas} / {group_by}: {planner} preprocache={preprocache}");
+                let mut db = mixed_db();
+                let engine = MineRuleEngine::new()
+                    .with_planner(planner)
+                    .with_preprocache(preprocache);
+                let mut mutations = Vec::new();
+                let mut captures = Vec::new();
+                for (stage, (mutation, support, confidence)) in stages.iter().enumerate() {
+                    if let Some(dml) = mutation {
+                        db.execute(dml).unwrap();
+                        mutations.push(*dml);
+                    }
+                    let text = mixed_mine(schemas, group_by, *support, *confidence);
+                    let before = engine.metrics_snapshot();
+                    let run = engine.execute(&mut db, &text).unwrap();
+                    let (serve, capture) = cache_outcome(&before, &engine.metrics_snapshot());
+                    assert_eq!(serve, expected[stage], "{label} stage {stage}");
+                    captures.push(capture);
+
+                    let mut fresh = mixed_db();
+                    for dml in &mutations {
+                        fresh.execute(dml).unwrap();
+                    }
+                    let reference = MineRuleEngine::new()
+                        .with_preprocache(false)
+                        .with_minecache(false)
+                        .execute(&mut fresh, &text)
+                        .unwrap();
+                    assert_eq!(
+                        signature(&run.rules),
+                        signature(&reference.rules),
+                        "{label} stage {stage}: rules diverge from a cold mine"
+                    );
+                    large_rare |= run
+                        .rules
+                        .iter()
+                        .any(|r| r.body.iter().chain(&r.head).any(|v| v.contains("rare")));
+                }
+                // A cold fused pass hands its slots over; the loosened
+                // rerun cannot restore the preprocess cache (its `Bset`
+                // was pruned at the tighter threshold), so it runs cold.
+                let cold = match planner {
+                    PlannerMode::Cost => "handoff",
+                    PlannerMode::Naive => "scan",
+                };
+                assert_eq!(captures, [cold, "-", "-", "-", "-", "-", cold], "{label}");
+            }
+        }
+        assert!(large_rare, "{schemas}: a delta must make `rare` large");
+    }
+}
+
+/// `core.minecache.capture.{handoff,scan}` count where each capture's
+/// grouping came from; both are worker-invariant.
+#[test]
+fn capture_counters_name_their_source() {
+    for workers in [1usize, 3] {
+        let counts = |engine: &MineRuleEngine| {
+            let s = engine.metrics_snapshot();
+            engine.reset_metrics();
+            (
+                s.counter("core.minecache.capture.handoff"),
+                s.counter("core.minecache.capture.scan"),
+                s.counter("preprocess.cache.hit"),
+                s.counter("core.minecache.miss"),
+            )
+        };
+        let mut db = purchase_db();
+        let mut engine = MineRuleEngine::new().with_workers(workers);
+        engine.execute(&mut db, &tr_mine(0.5, 0.1)).unwrap();
+        assert_eq!(
+            counts(&engine),
+            (1, 0, 0, 1),
+            "cold fused run, workers {workers}"
+        );
+
+        // Leave the preprocess cache holding artifacts pruned at the
+        // looser threshold, then start the mined-result cache afresh.
+        engine.set_minecache_enabled(false);
+        engine.execute(&mut db, &tr_mine(0.25, 0.1)).unwrap();
+        engine.set_minecache_enabled(true);
+        engine.reset_metrics();
+        engine.execute(&mut db, &tr_mine(0.5, 0.1)).unwrap();
+        assert_eq!(counts(&engine), (0, 1, 1, 1), "preprocess hit, empty store");
+        let loose = engine.execute(&mut db, &tr_mine(0.25, 0.1)).unwrap();
+        assert_eq!(
+            counts(&engine),
+            (0, 1, 1, 1),
+            "preprocess hit, loosened support, workers {workers}"
+        );
+        let reference = MineRuleEngine::new()
+            .with_preprocache(false)
+            .with_minecache(false)
+            .execute(&mut purchase_db(), &tr_mine(0.25, 0.1))
+            .unwrap();
+        assert_eq!(signature(&loose.rules), signature(&reference.rules));
+    }
 }

@@ -189,7 +189,7 @@ fn fused_handoff_equals_the_coded_source_read_back() {
         let translation = translate(&parse_mine_rule(&text).unwrap(), db.catalog()).unwrap();
         let (report, handoff) = preprocess_with_handoff(&mut db, &translation).unwrap();
         assert_eq!(report.fused_steps, 6, "{text}");
-        let handoff = handoff.expect("the fused pass hands its groups over");
+        let (handoff, _) = handoff.expect("the fused pass hands its groups over");
         let EncodedData::Simple { groups } = read_encoded(&mut db, &translation).unwrap().data
         else {
             panic!("simple statement read a general encoding");
